@@ -8,14 +8,12 @@ around its center show the two notions genuinely differ.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import SeedOutside, SingularBasis
-from .grids import Grid, GridRegion
+from .grids import Grid, GridRegion, bfs
 
 __all__ = [
     "AffineBasis",
@@ -23,13 +21,10 @@ __all__ = [
     "barycentric_coords",
     "is_interior_of_hull",
     "surrounds",
-    "caratheodory_select",
-    "affine_weights",
     "flood_fill_component",
 ]
 
 DET_FLOOR = 1e-10
-EXHAUSTIVE_LIMIT = 12  # hull feasibility is exact up to this many points
 _COMBO_BUDGET = 2_000_000
 
 
@@ -105,82 +100,6 @@ def surrounds(points, v, mu=1e-6):
     return None
 
 
-def affine_weights(points, v):
-    """Least-squares affine combination of `points` hitting v.
-
-    Returns (weights, residual) where residual is |sum w_i p_i - v| plus the
-    affine defect |sum w_i - 1|.
-    """
-    pts = np.asarray(points, dtype=float)
-    v = np.asarray(v, dtype=float).ravel()
-    A = _affine_matrix(pts)
-    b = np.append(v, 1.0)
-    w, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return w, float(np.linalg.norm(A @ w - b))
-
-
-def _reduce_support(pts, w, idx, tol=1e-12):
-    """Classic support reduction: drop points until at most d+1 carry weight."""
-    d = pts.shape[1]
-    idx = list(idx)
-    w = np.asarray(w, dtype=float).copy()
-    while len(idx) > d + 1:
-        A = _affine_matrix(pts[idx])
-        # nontrivial affine dependence among the support points
-        _, _, vt = np.linalg.svd(A)
-        lam = vt[-1]
-        if np.max(lam) <= 0:
-            lam = -lam
-        ratios = [w[i] / lam[i] for i in range(len(idx)) if lam[i] > tol]
-        if not ratios:
-            break
-        t = min(ratios)
-        w = w - t * lam
-        keep = w > tol
-        idx = [idx[i] for i in range(len(idx)) if keep[i]]
-        w = w[keep]
-    return idx, w
-
-
-def caratheodory_select(points, v, tol=1e-9):
-    """Indices of at most d+1 points whose convex hull contains v, or None.
-
-    Up to EXHAUSTIVE_LIMIT points the search is exact: subsets are scanned by
-    increasing size, lexicographically within each size, and the first
-    feasible one wins.  Larger instances fall back to nonnegative least
-    squares followed by support reduction.
-    """
-    pts = np.asarray(points, dtype=float)
-    v = np.asarray(v, dtype=float).ravel()
-    n, d = pts.shape
-    scale = 1.0 + np.linalg.norm(v)
-
-    if n <= EXHAUSTIVE_LIMIT:
-        for k in range(1, d + 2):
-            for idx in itertools.combinations(range(n), k):
-                w, res = affine_weights(pts[list(idx)], v)
-                if res <= tol * scale and np.all(w >= -1e-12):
-                    return tuple(idx)
-        return None
-
-    A = _affine_matrix(pts)
-    A = A * np.append(np.ones(d), scale)[:, None]  # balance the affine row
-    b = np.append(v, scale)
-    w, rnorm = nnls(A, b)
-    if rnorm > tol * scale:
-        return None
-    total = w.sum()
-    if total <= 0:
-        return None
-    w = w / total
-    support = [i for i in range(n) if w[i] > 1e-12]
-    support, wred = _reduce_support(pts, w[support], support)
-    _, res = affine_weights(pts[support], v)
-    if res > tol * scale:
-        return None
-    return tuple(sorted(support))
-
-
 @dataclass
 class GridComponent:
     """Axis-connected set of grid nodes satisfying a membership predicate."""
@@ -239,24 +158,7 @@ def flood_fill_component(member, seed, box, h):
     if start_node is None:
         raise SeedOutside("no grid node near the seed satisfies the predicate")
 
+    reached = bfs(shape, start_node, lambda nb: member(grid.node(nb)))
     mask = np.zeros(shape, dtype=bool)
-    seen = np.zeros(shape, dtype=bool)
-    queue = deque([start_node])
-    seen[start_node] = True
-    mask[start_node] = True
-    while queue:
-        cur = queue.popleft()
-        for ax in range(dim):
-            for step in (-1, 1):
-                nb = list(cur)
-                nb[ax] += step
-                if not 0 <= nb[ax] < shape[ax]:
-                    continue
-                nb = tuple(nb)
-                if seen[nb]:
-                    continue
-                seen[nb] = True
-                if member(grid.node(nb)):
-                    mask[nb] = True
-                    queue.append(nb)
+    mask[tuple(zip(*reached))] = True
     return GridComponent(grid=grid, h=float(h), box=(lo, hi), region=GridRegion(grid, mask))

@@ -24,11 +24,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .jets import FD_SCALE, DualPair
+from .jets import DualPair, fd_jacobian
+from .smooth import cumulative_simpson, quad_integral
 
 __all__ = [
     "CorrugationJob",
-    "quad_integral",
     "corrugation",
     "corrugation_direct",
     "remainder",
@@ -36,23 +36,6 @@ __all__ = [
     "choose_N",
     "sup_norms",
 ]
-
-
-def quad_integral(f, a, b, M):
-    """Composite Simpson integral of a (possibly vector-valued) integrand."""
-    if M < 4 or M % 2:
-        raise ValueError("Simpson panel count must be even and at least 4")
-    nodes = np.linspace(a, b, M + 1)
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape[0] != len(nodes):
-            raise ValueError
-    except (ValueError, TypeError):
-        vals = np.stack([np.asarray(f(float(s)), dtype=float) for s in nodes])
-    w = np.ones(M + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return np.tensordot(w, vals, axes=(0, 0)) * ((b - a) / M) / 3.0
 
 
 @dataclass
@@ -120,6 +103,16 @@ def corrugation_direct(job: CorrugationJob, x, t, M=None):
     return (I - z * avg) / job.N
 
 
+def _dgamma_integrand(job: CorrugationJob, x, t):
+    """The analytic x-derivative of the family at (x, t) as a function of s,
+    and its average over one period."""
+
+    def integrand(s):
+        return np.asarray(job.dgamma_dx(x, t, np.atleast_1d(s)), dtype=float)
+
+    return integrand, quad_integral(integrand, 0.0, 1.0, job.avg_m)
+
+
 def remainder(job: CorrugationJob, x, t):
     """Corrugation of the family's x-derivative: the error term of the
     derivative formula.  Finite differences are used when no analytic
@@ -131,26 +124,14 @@ def remainder(job: CorrugationJob, x, t):
         return np.zeros((job.family.dim_f, e_dim))
 
     if job.dgamma_dx is not None:
-        def integrand(s):
-            return np.asarray(job.dgamma_dx(x, t, np.atleast_1d(s)), dtype=float)
-
-        avg_d = quad_integral(integrand, 0.0, 1.0, job.avg_m)
+        integrand, avg_d = _dgamma_integrand(job, x, t)
         I = quad_integral(integrand, 0.0, r, job.frac_m)
         return (I - r * avg_d) / job.N
 
-    h = FD_SCALE * (1.0 + np.linalg.norm(x))
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        up = job.family.integral_over(x + e, t, 0.0, r, M=job.frac_m) - r * job.family.average_at(
-            x + e, t, M=job.avg_m
-        )
-        dn = job.family.integral_over(x - e, t, 0.0, r, M=job.frac_m) - r * job.family.average_at(
-            x - e, t, M=job.avg_m
-        )
-        cols.append((up - dn) / (2.0 * h))
-    return np.stack(cols, axis=-1) / job.N
+    def frozen(z):
+        return job.family.integral_over(z, t, 0.0, r, M=job.frac_m) - r * job.family.average_at(z, t, M=job.avg_m)
+
+    return fd_jacobian(frozen, x) / job.N
 
 
 def corrugated_derivative(job: CorrugationJob, x, t):
@@ -162,22 +143,9 @@ def corrugated_derivative(job: CorrugationJob, x, t):
     return np.outer(val, job.p.pi) + remainder(job, x, t)
 
 
-def _cumulative_simpson(vals, h):
-    """Integrals from the first sample to every sample of equally spaced
-    values (axis 0, even panel count): composite Simpson at even nodes, the
-    quadratic through each panel pair for the half pair at odd nodes."""
-    if len(vals) < 5 or len(vals) % 2 == 0:
-        raise ValueError("Simpson panel count must be even and at least 4")
-    f0, f1, f2 = vals[0:-1:2], vals[1::2], vals[2::2]
-    out = np.zeros_like(vals)
-    out[2::2] = np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2), axis=0)
-    out[1::2] = out[0:-1:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
-    return out
-
-
 def _phase_max(vals, avg, s):
     """max over the phase nodes s of |int_0^r vals - r avg| (Frobenius)."""
-    A = _cumulative_simpson(vals, s[1] - s[0]) - s.reshape((-1,) + (1,) * avg.ndim) * avg
+    A = cumulative_simpson(vals, s[1] - s[0]) - s.reshape((-1,) + (1,) * avg.ndim) * avg
     return float(np.sqrt(np.max(np.sum(A.reshape(len(s), -1) ** 2, axis=1))))
 
 
@@ -190,22 +158,16 @@ def _phase_constants(job: CorrugationJob, x, t):
     c_corr = _phase_max(np.asarray(fam.eval(x, t, s), dtype=float), job.average_at(x, t), s)
 
     if job.dgamma_dx is not None:
-        def integrand(u):
-            return np.asarray(job.dgamma_dx(x, t, np.atleast_1d(u)), dtype=float)
-
-        avg_d = quad_integral(integrand, 0.0, 1.0, job.avg_m)
+        integrand, avg_d = _dgamma_integrand(job, x, t)
         return c_corr, _phase_max(integrand(s), avg_d, s)
 
-    h = FD_SCALE * (1.0 + np.linalg.norm(x))
-    d_vals, d_avg = [], []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        d_vals.append((np.asarray(fam.eval(x + e, t, s), dtype=float) - fam.eval(x - e, t, s)) / (2.0 * h))
-        d_avg.append(
-            (fam.average_at(x + e, t, M=job.avg_m) - fam.average_at(x - e, t, M=job.avg_m)) / (2.0 * h)
-        )
-    return c_corr, _phase_max(np.stack(d_vals, axis=-1), np.stack(d_avg, axis=-1), s)
+    # differentiate the phase samples and the average together: the first
+    # frac_m + 1 rows are gamma(x, t, s), the last row is its average
+    def stacked(z):
+        return np.vstack([fam.eval(z, t, s), fam.average_at(z, t, M=job.avg_m)])
+
+    d = fd_jacobian(stacked, x)
+    return c_corr, _phase_max(d[:-1], d[-1], s)
 
 
 def sup_norms(job: CorrugationJob, points, t_values):
@@ -228,26 +190,25 @@ def sup_norms(job: CorrugationJob, points, t_values):
     return c_corr / job.N, c_rem / job.N
 
 
-def choose_N(job: CorrugationJob, points, t_values, eps, n0=1.0, k_max=30):
-    """Smallest N in the sequence n0 * 2^k with both sup norms at most eps.
+def choose_N(job: CorrugationJob, points, t_values, eps, k_max=30):
+    """Smallest N in the sequence 2^k (k >= 0) with both sup norms at most eps.
 
     Both norms are C / N exactly (see `sup_norms`), so C is computed once, at
-    N = 1, and k is read off in closed form; no trial N is evaluated.  N = n0
-    when C / n0 <= eps (in particular when C = 0); BudgetExceeded when k
-    would pass k_max.
+    N = 1, and k is read off in closed form; no trial N is evaluated.  N = 1
+    when C <= eps (in particular when C = 0); BudgetExceeded when k would
+    pass k_max.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     C = max(sup_norms(replace(job, N=1.0), points, t_values))
     if not math.isfinite(C):
         raise BudgetExceeded(f"corrugation bound is not finite: C={C}")
-    n0 = float(n0)
-    if C <= n0 * eps:
-        return n0
-    # smallest k with C / (n0 eps) <= 2^k, exactly: frexp gives m 2^e, m in [0.5, 1)
-    m, k = math.frexp(C / (n0 * eps))
+    if C <= eps:
+        return 1.0
+    # smallest k with C / eps <= 2^k, exactly: frexp gives m 2^e, m in [0.5, 1)
+    m, k = math.frexp(C / eps)
     if m == 0.5:
         k -= 1
     if k > k_max:
-        raise BudgetExceeded(f"no N up to {n0}*2^{k_max} met eps={eps}: C={C:.3e} needs N={n0}*2^{k}")
-    return n0 * 2.0**k
+        raise BudgetExceeded(f"no N up to 2^{k_max} met eps={eps}: C={C:.3e} needs N=2^{k}")
+    return 2.0**k

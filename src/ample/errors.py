@@ -36,23 +36,3 @@ class NoConvergence(EngineError):
 
 class BudgetExceeded(EngineError):
     """Doubling search ran out of budget (non-compact or pathological input)."""
-
-
-class AmpleSliceEmpty(EngineError):
-    """A slice component's hull misses the target value; carries the witness jet."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class WindingMismatch(EngineError):
-    """Curves have different winding numbers; no regular homotopy exists."""
-
-
-class StepTooCoarse(EngineError):
-    """Angle accumulation step exceeded the safety guard after refinement."""
-
-
-class Inconsistent(EngineError):
-    """Sampled membership contradicts a claimed classification."""

@@ -5,9 +5,11 @@ a region always means a fixed dilation by whole cells, and distances are
 node distances (periodic axes wrap).
 """
 
+from collections import deque
+
 import numpy as np
 
-__all__ = ["Grid", "GridRegion", "box_grid"]
+__all__ = ["Grid", "GridRegion", "box_grid", "bfs"]
 
 
 class Grid:
@@ -56,6 +58,35 @@ class Grid:
         return da
 
 
+def bfs(shape, start, admit):
+    """Breadth-first search over the axis neighbours of the index grid `shape`.
+
+    Returns {node: parent} for every node reached from `start` (whose parent
+    is None); following parents from any node gives a shortest chain back to
+    `start`.  admit(node) decides whether a neighbour may be entered; it is
+    asked at most once per node and never for `start`.
+    """
+    parent = {start: None}
+    refused = set()
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for ax in range(len(shape)):
+            for step in (-1, 1):
+                k = cur[ax] + step
+                if not 0 <= k < shape[ax]:
+                    continue
+                nb = cur[:ax] + (k,) + cur[ax + 1 :]
+                if nb in parent or nb in refused:
+                    continue
+                if admit(nb):
+                    parent[nb] = cur
+                    queue.append(nb)
+                else:
+                    refused.add(nb)
+    return parent
+
+
 def box_grid(lo, hi, cells, periodic=None):
     """Grid over the box [lo, hi] with the given cell counts per axis."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -86,12 +117,6 @@ class GridRegion:
     @classmethod
     def full(cls, grid):
         return cls(grid, np.ones(grid.shape, dtype=bool))
-
-    @classmethod
-    def from_predicate(cls, grid, pred):
-        nodes = grid.nodes()
-        mask = np.array([bool(pred(x)) for x in nodes]).reshape(grid.shape)
-        return cls(grid, mask)
 
     @classmethod
     def from_box(cls, grid, lo, hi):

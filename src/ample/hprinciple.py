@@ -14,8 +14,8 @@ the homotopy starts exactly at F and is exactly unchanged near C and outside
 K1.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
 
 NEAR_CELLS = 2  # "near" a region always means this many cells of dilation
 _STEP_T = (0.5, 1.0)  # grades at which a step probes its margin and bounds its corrugation
+_SUP_STRIDE = 2  # every this-many landscape node feeds the bound on N
 
 
 @dataclass
@@ -169,16 +170,11 @@ class Cutoff:
             return self.constant
         return float(plateau(self.inner.distance(x), self.d0, self.d1))
 
-    def drho(self, x, step=1e-6):
+    def drho(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.trivial:
             return np.zeros_like(x)
-        g = np.zeros_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = step
-            g[i] = (self.rho(x + e) - self.rho(x - e)) / (2.0 * step)
-        return g
+        return fd_jacobian(self.rho, x, h=1e-6)
 
 
 class Homotopy:
@@ -266,26 +262,18 @@ class ConcatenatedHomotopy:
         return [s.metadata for s in self.stages]
 
 
-def _choose_step_n(p, gamma, cutoff, points, eps, k_max=30):
+def _choose_step_n(p, gamma, cutoff, points, eps):
     """Frequency from the 1/N bound over every phase: the slice corrugation
     and its remainder at t in {0.5, 1} (the f-term and its derivative) and
     the remainder of the cutoff-absorbed families (the phi-term)."""
-    N = choose_N(CorrugationJob(p, 1.0, gamma), points, _STEP_T, eps, k_max=k_max)
+    N = choose_N(CorrugationJob(p, 1.0, gamma), points, _STEP_T, eps)
     for t in _STEP_T:
         warped = CorrugationJob(p, 1.0, WarpedFamily(gamma, lambda x, _t=t: _t * cutoff.rho(x)))
-        N = max(N, choose_N(warped, points, [0.0], eps, k_max=k_max))
+        N = max(N, choose_N(warped, points, [0.0], eps))
     return N
 
 
-def improve_step(
-    R: Relation,
-    F: JetSection,
-    S: StepLandscape,
-    eps,
-    hol_tol=1e-6,
-    sup_stride=2,
-    loops_kwargs=None,
-):
+def improve_step(R: Relation, F: JetSection, S: StepLandscape, eps, hol_tol=1e-6):
     """One inductive improvement: returns the corrugation homotopy making F
     E' + Rv holonomic near K0 while staying inside R, unchanged near C and
     outside K1, and moving f by at most eps."""
@@ -309,9 +297,7 @@ def improve_step(
     else:
         k_loops = GridRegion.empty(L.grid)
 
-    gamma = build_loop_family(
-        omega, beta, g, k_loops, L.box, eps, L.grid, **(loops_kwargs or {})
-    )
+    gamma = build_loop_family(omega, beta, g, k_loops, L.box, eps, L.grid)
 
     # margin of the relation along the updated jets bounds the allowed
     # remainder and value drift
@@ -327,14 +313,14 @@ def improve_step(
     eps_n = min(eps, m_star / 4.0) if m_star > 0 else eps
 
     cutoff = Cutoff(L)
-    sup_points = L.grid.nodes()[::sup_stride]
+    sup_points = L.grid.nodes()[::_SUP_STRIDE]
     N = _choose_step_n(p, gamma, cutoff, sup_points, eps_n)
 
     meta = {"N": N, "eps": eps, "eps_n": eps_n, "margin_min": float(m_star), "witness": wit}
     return Homotopy(F, S, gamma, N, cutoff, metadata=meta)
 
 
-def improve(R: Relation, F0: JetSection, L: Landscape, eps, basis=None, hol_tol=1e-6, **step_kwargs):
+def improve(R: Relation, F0: JetSection, L: Landscape, eps, basis=None, hol_tol=1e-6):
     """Fold the inductive step over a basis of directions.
 
     Each step uses the dual pair of the next direction, improves holonomy on
@@ -350,7 +336,7 @@ def improve(R: Relation, F0: JetSection, L: Landscape, eps, basis=None, hol_tol=
     current = F0
     for i, e in enumerate(basis):
         S = StepLandscape(landscape=L, e_sub=[np.asarray(b, dtype=float) for b in basis[:i]], p=DualPair(duals[i], e))
-        hom = improve_step(R, current, S, eps / n, hol_tol=hol_tol, **step_kwargs)
+        hom = improve_step(R, current, S, eps / n, hol_tol=hol_tol)
         stages.append(hom)
         current = hom.section_at(1.0)
     return ConcatenatedHomotopy(stages)
@@ -377,7 +363,7 @@ class ParametricHomotopy:
         return FamilyOfSections(dim_e=self.dim_e, param_dim=self.param_dim, eval=ev)
 
 
-def improve_parametric(R: Relation, F0: FamilyOfSections, C, K, eps, grid=None, basis=None, **kwargs):
+def improve_parametric(R: Relation, F0: FamilyOfSections, C, K, eps, grid=None, basis=None):
     """Parametric h-principle driver: lift the family over E x P, improve
     with corrugations along the E directions, read the family back.
 
@@ -393,7 +379,7 @@ def improve_parametric(R: Relation, F0: FamilyOfSections, C, K, eps, grid=None, 
     L = Landscape(grid=grid, k0=K, k1=k1, c=C)
     if basis is None:
         basis = [np.eye(grid.dim)[i] for i in range(F0.dim_e)]
-    hom = improve(RP, Fbar, L, eps, basis=basis, **kwargs)
+    hom = improve(RP, Fbar, L, eps, basis=basis)
     return ParametricHomotopy(hom, F0.dim_e, F0.param_dim)
 
 
@@ -416,27 +402,34 @@ def verify_conclusions(
     """
     if t_values is None:
         t_values = np.linspace(0.0, 1.0, 11)
-    nodes = L.grid.nodes()
-    report = {}
+    t_values = [float(t) for t in t_values]
+    frozen = L.k1.complement()
+    if L.c is not None and not L.c.is_empty:
+        frozen = frozen.union(GridRegion(L.grid, L.c.mask & L.k1.mask).dilate(NEAR_CELLS))
+    frozen_at = frozen.mask.ravel()
 
-    res0 = 0.0
-    for x in nodes:
-        y, phi = hom.eval(0.0, x)
-        res0 = max(res0, float(np.linalg.norm(y - F0.f(x))), float(np.linalg.norm(phi - F0.phi(x))))
-    report["starts_at_input"] = {"residual": res0, "tol": t0_tol, "passed": res0 <= t0_tol}
-
+    # one pass over the nodes, each (node, t) evaluated once
+    res0 = res_frozen = res_c0 = 0.0
     member_ok = True
     margin_min = np.inf
     witness = None
-    for x in nodes:
-        for t in t_values:
-            y, phi = hom.eval(t, x)
+    for x, is_frozen in zip(L.grid.nodes(), frozen_at):
+        f0, p0 = F0.f(x), F0.phi(x)
+        evals = [hom.eval(t, x) for t in t_values]
+        y, phi = evals[t_values.index(0.0)] if 0.0 in t_values else hom.eval(0.0, x)
+        res0 = max(res0, float(np.linalg.norm(y - f0)), float(np.linalg.norm(phi - p0)))
+        for t, (y, phi) in zip(t_values, evals):
             jet = OneJet(x, y, phi)
             if not R.member(jet):
                 member_ok = False
-                witness = (float(t), np.array(x))
+                witness = (t, np.array(x))
             else:
                 margin_min = min(margin_min, float(R.margin(jet)))
+            if is_frozen:
+                res_frozen = max(res_frozen, float(np.linalg.norm(y - f0)), float(np.linalg.norm(phi - p0)))
+            res_c0 = max(res_c0, float(np.linalg.norm(y - f0)))
+
+    report = {"starts_at_input": {"residual": res0, "tol": t0_tol, "passed": res0 <= t0_tol}}
     report["stays_in_relation"] = {
         "residual": 0.0 if member_ok else 1.0,
         "margin_min": float(margin_min) if member_ok else 0.0,
@@ -444,30 +437,11 @@ def verify_conclusions(
         "passed": member_ok,
         "witness": witness,
     }
-
-    frozen = L.k1.complement()
-    if L.c is not None and not L.c.is_empty:
-        frozen = frozen.union(GridRegion(L.grid, L.c.mask & L.k1.mask).dilate(NEAR_CELLS))
-    res_frozen = 0.0
-    for x in frozen.nodes():
-        f0, p0 = F0.f(x), F0.phi(x)
-        for t in t_values:
-            y, phi = hom.eval(t, x)
-            res_frozen = max(
-                res_frozen, float(np.linalg.norm(y - f0)), float(np.linalg.norm(phi - p0))
-            )
     report["frozen_outside"] = {
         "residual": res_frozen,
         "tol": frozen_tol,
         "passed": res_frozen <= frozen_tol,
     }
-
-    res_c0 = 0.0
-    for x in nodes:
-        f0 = F0.f(x)
-        for t in t_values:
-            y, _ = hom.eval(t, x)
-            res_c0 = max(res_c0, float(np.linalg.norm(y - f0)))
     report["value_drift"] = {"residual": res_c0, "tol": eps, "passed": res_c0 <= eps}
 
     if directions is None:

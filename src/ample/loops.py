@@ -7,19 +7,17 @@ Families evaluate as gamma(x, t, s_array) -> (n, dim_f); everything is built
 from smooth primitives, so families are as smooth as their ingredients.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import convexity
 from .errors import MarginExceeded, NotSurrounded
-from .grids import GridRegion
-from .smooth import smoothstep, tent, transition
+from .grids import bfs
+from .smooth import quad_integral, smoothstep, tent, transition
 
 __all__ = [
     "Loop",
-    "as_loop",
     "average",
     "LoopFamily",
     "RoundTripFamily",
@@ -27,11 +25,8 @@ __all__ = [
     "SatisfiedOrRefund",
     "ChainedFamily",
     "BlendedFamily",
-    "round_trip_family",
     "surrounding_loop_at",
     "SurroundingLoopResult",
-    "translate_family",
-    "satisfied_or_refund",
     "glue_families",
     "surround_certificate",
     "build_loop_family",
@@ -45,7 +40,6 @@ class Loop:
     def __init__(self, fn, dim=None):
         self.fn = fn
         self.dim = dim
-        self._sample_cache = {}
 
     def __call__(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -54,44 +48,10 @@ class Loop:
             out = out.reshape(len(s), -1) if len(s) > 1 else out.reshape(1, -1)
         return out
 
-    def samples(self, M):
-        """M uniform samples over one period, cached."""
-        if M not in self._sample_cache:
-            self._sample_cache[M] = self(np.arange(M) / M)
-        return self._sample_cache[M]
-
-
-def as_loop(fn, dim=None):
-    """Wrap a possibly scalar-only callable as a vectorized Loop."""
-    probe = np.array([0.0, 0.25])
-    try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.ndim >= 1 and out.shape[0] == 2:
-            return Loop(fn, dim)
-    except Exception:
-        pass
-
-    def vec(s):
-        return np.stack([np.atleast_1d(np.asarray(fn(float(si)), dtype=float)) for si in s])
-
-    return Loop(vec, dim)
-
-
-def _simpson_weights(M):
-    if M < 4 or M % 2:
-        raise ValueError("Simpson panel count must be even and at least 4")
-    w = np.ones(M + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / (3.0 * M)
-
 
 def average(gamma, M=256):
     """Composite-Simpson average of a loop over one period (M panels)."""
-    loop = gamma if isinstance(gamma, Loop) else as_loop(gamma)
-    nodes = np.linspace(0.0, 1.0, M + 1)
-    vals = loop(nodes)
-    return _simpson_weights(M) @ vals
+    return quad_integral(gamma, 0.0, 1.0, M)
 
 
 class LoopFamily:
@@ -106,8 +66,7 @@ class LoopFamily:
         return Loop(lambda s: self.eval(x, t, s), self.dim_f)
 
     def average_at(self, x, t, M=256):
-        nodes = np.linspace(0.0, 1.0, M + 1)
-        return _simpson_weights(M) @ self.eval(x, t, nodes)
+        return quad_integral(lambda s: self.eval(x, t, s), 0.0, 1.0, M)
 
     def integral_over(self, x, t, a, b, M=256):
         """int_a^b gamma_{x,t}(s) ds by composite Simpson (oriented)."""
@@ -115,8 +74,7 @@ class LoopFamily:
             return -self.integral_over(x, t, b, a, M=M)
         if b == a:
             return np.zeros(self.dim_f)
-        nodes = np.linspace(a, b, M + 1)
-        return (_simpson_weights(M) @ self.eval(x, t, nodes)) * (b - a)
+        return quad_integral(lambda s: self.eval(x, t, s), a, b, M)
 
 
 class RoundTripFamily(LoopFamily):
@@ -158,10 +116,6 @@ class RoundTripFamily(LoopFamily):
         return self.path(np.clip(t, 0.0, 1.0) * tent(s))
 
 
-def round_trip_family(beta, waypoints):
-    return RoundTripFamily(beta, waypoints)
-
-
 class TranslatedFamily(LoopFamily):
     """gamma_x^t(s) = gamma0^t(s) + beta(x) - beta(x0): one model loop carried
     over a neighbourhood by translating its base point."""
@@ -172,7 +126,7 @@ class TranslatedFamily(LoopFamily):
         if x0 is None:
             x0 = getattr(gamma0, "anchor", None)
         if x0 is None:
-            raise ValueError("translate_family needs the anchor point x0")
+            raise ValueError("TranslatedFamily needs the anchor point x0")
         self.x0 = np.asarray(x0, dtype=float)
         self.beta0 = np.asarray(beta(self.x0), dtype=float).ravel()
         self.dim_f = gamma0.dim_f
@@ -180,10 +134,6 @@ class TranslatedFamily(LoopFamily):
     def eval(self, x, t, s):
         base = self.gamma0.eval(self.x0, t, s)
         return base + (np.asarray(self.beta(x), dtype=float).ravel() - self.beta0)
-
-
-def translate_family(gamma0, beta, x0=None):
-    return TranslatedFamily(gamma0, beta, x0)
 
 
 def _rho_refund(u):
@@ -230,10 +180,6 @@ class SatisfiedOrRefund:
                 return outer.eval(tau, x, t, s)
 
         return _Slice()
-
-
-def satisfied_or_refund(gamma0, gamma1):
-    return SatisfiedOrRefund(gamma0, gamma1)
 
 
 class ChainedFamily(LoopFamily):
@@ -376,52 +322,38 @@ class SurroundingLoopResult:
     h: float
 
 
-def _candidate_order(points, target, cap=48):
+_CANDIDATE_CAP = 48  # points handed to the subset scan of `convexity.surrounds`
+
+
+def _candidate_order(points, target):
     """Hull vertices plus nearest points, ordered by distance to the target."""
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     idx = set()
-    if n > d + 1:
-        try:
-            from scipy.spatial import ConvexHull
+    if n > d + 1 and d >= 2:  # Qhull needs at least 2-D data
+        # deferred so that importing the package loads no scipy
+        from scipy.spatial import ConvexHull, QhullError
 
+        try:
             idx.update(int(i) for i in ConvexHull(pts).vertices)
-        except Exception:
+        except QhullError:  # collinear or coplanar samples: nearest points only
             pass
     dists = np.linalg.norm(pts - np.asarray(target, dtype=float), axis=1)
-    idx.update(int(i) for i in np.argsort(dists, kind="stable")[: max(cap - len(idx), d + 8)])
+    idx.update(int(i) for i in np.argsort(dists, kind="stable")[: max(_CANDIDATE_CAP - len(idx), d + 8)])
     order = sorted(idx, key=lambda i: (dists[i], i))
-    return order[:cap]
+    return order[:_CANDIDATE_CAP]
 
 
 def _grid_path(component, start, goal):
-    """BFS node path inside the component between two member nodes."""
-    region = component.region
+    """Shortest axis-neighbour node path inside the component between two
+    member nodes."""
     grid = component.grid
-    mask = region.mask
-    from collections import deque
-
+    mask = component.region.mask
     start = grid.nearest_index(start)
     goal = grid.nearest_index(goal)
     if not mask[start] or not mask[goal]:
         raise NotSurrounded("path endpoints left the component")
-    prev = {start: None}
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        if cur == goal:
-            break
-        for ax in range(grid.dim):
-            for step in (-1, 1):
-                nb = list(cur)
-                nb[ax] += step
-                if not 0 <= nb[ax] < grid.shape[ax]:
-                    continue
-                nb = tuple(nb)
-                if nb in prev or not mask[nb]:
-                    continue
-                prev[nb] = cur
-                q.append(nb)
+    prev = bfs(grid.shape, start, lambda nb: mask[nb])
     if goal not in prev:
         raise NotSurrounded("component is not connected between path endpoints")
     path = []
@@ -456,7 +388,10 @@ def _simplify_polyline(points, tol=1e-12):
 _SURROUND_FLOORS = (5e-2, 1e-2, 1e-3, 1e-6)
 
 
-def surrounding_loop_at(omega_x, beta_x, g_x, box, h, max_refine=3):
+_MAX_H_HALVINGS = 3  # grid refinements of the flood fill before giving up
+
+
+def surrounding_loop_at(omega_x, beta_x, g_x, box, h):
     """Build a loop family at one point: based at beta_x, inside omega_x,
     with the t=1 loop surrounding g_x.
 
@@ -469,7 +404,7 @@ def surrounding_loop_at(omega_x, beta_x, g_x, box, h, max_refine=3):
     g_x = np.asarray(g_x, dtype=float).ravel()
     hcur = float(h)
     last_reason = "no certified affine basis"
-    for _ in range(max_refine + 1):
+    for _ in range(_MAX_H_HALVINGS + 1):
         comp = convexity.flood_fill_component(omega_x, beta_x, box, hcur)
         pts = comp.points()
         if len(pts) >= g_x.size + 1:
@@ -506,20 +441,19 @@ def surrounding_loop_at(omega_x, beta_x, g_x, box, h, max_refine=3):
     raise NotSurrounded(f"surrounding loop search failed at h={hcur * 2}: {last_reason}")
 
 
-def surround_certificate(loop, g, M=64, floors=_SURROUND_FLOORS):
+def surround_certificate(loop, g, M=64):
     """Sampling-based surround certificate for a single loop.
 
     Returns (s_centers, coords, basis_points) where the loop values at the
     s_centers form an affine basis giving g strictly positive coordinates.
     """
-    loop = loop if isinstance(loop, Loop) else as_loop(loop)
     g = np.asarray(g, dtype=float).ravel()
     svals = np.arange(M) / M
     pts = loop(svals)
     order = _candidate_order(pts, g)
     cand = pts[order]
     found = None
-    for mu in floors:
+    for mu in _SURROUND_FLOORS:
         found = convexity.surrounds(cand, g, mu)
         if found is not None:
             break
@@ -554,23 +488,10 @@ def _star_waypoints(dim, rng_points=_RING_POINTS_2D):
     return verts / np.linalg.norm(verts, axis=1)[:, None]
 
 
-def _region_distance(grid, region, x):
-    return region.distance(x)
+_G_BETA_TOL = 1e-7  # how far g may stray from beta near K
 
 
-def build_loop_family(
-    omega,
-    beta,
-    g,
-    K,
-    box,
-    eps,
-    grid,
-    value_h=None,
-    g_beta_tol=1e-7,
-    patch_stride=None,
-    verbose=False,
-):
+def build_loop_family(omega, beta, g, K, box, eps, grid):
     """Smooth family of loops with prescribed values, base points and averages.
 
     At every x the loops live in omega(x), are based at beta(x), degenerate to
@@ -605,7 +526,7 @@ def build_loop_family(
             float(np.linalg.norm(np.asarray(g(x), dtype=float) - np.asarray(beta(x), dtype=float)))
             for x in guard.nodes()
         )
-        if worst > g_beta_tol:
+        if worst > _G_BETA_TOL:
             raise ValueError(
                 f"g must agree with beta near K (max deviation {worst:.3e} on the 6-cell dilation)"
             )
@@ -646,8 +567,7 @@ def build_loop_family(
         exclusion = None
 
     # --- patch cover -------------------------------------------------------
-    if patch_stride is None:
-        patch_stride = max(1, int(np.ceil(max(grid.shape) / 7)))
+    patch_stride = max(1, int(np.ceil(max(grid.shape) / 7)))
     centers = []
     it = np.ndindex(*grid.shape)
     for idx in it:
@@ -659,15 +579,14 @@ def build_loop_family(
     r_core = 0.85 * patch_stride * max(grid.spacing) * np.sqrt(grid.dim)
     r_outer = 1.6 * r_core
 
-    if value_h is None:
-        scale = max(
-            1.0,
-            max(
-                float(np.linalg.norm(np.asarray(g(x), dtype=float) - np.asarray(beta(x), dtype=float)))
-                for x in nodes
-            ),
-        )
-        value_h = scale / 8.0
+    scale = max(
+        1.0,
+        max(
+            float(np.linalg.norm(np.asarray(g(x), dtype=float) - np.asarray(beta(x), dtype=float)))
+            for x in nodes
+        ),
+    )
+    value_h = scale / 8.0
 
     def value_box(c):
         b = np.asarray(beta(c), dtype=float).ravel()

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeights, NoConvergence
-from .loops import Loop, LoopFamily, as_loop, average, surround_certificate
-from .smooth import bump, smoothstep
+from .loops import LoopFamily, average, surround_certificate
+from .smooth import bump, cumulative_simpson, quad_integral, smoothstep
 
 __all__ = [
     "DeltaMollifier",
-    "mollifier_eval",
     "CircleReparam",
     "reparam_from_weights",
     "adjust_weights",
@@ -31,18 +30,13 @@ __all__ = [
 
 WEIGHT_FLOOR = 1e-4
 LEAK = 1e-3
+_NEWTON_TOL = 1e-8  # residual of average(gamma . phi_w) - g accepted by adjust_weights
+_NEWTON_ITERS = 50
+_CERTIFICATE_M = 64  # loop samples per surround certificate
+_MAX_REFINE = 2  # node-grid refinements in reparametrize_family
+_REPARAM_CACHE = 8192  # circle maps kept per ReparametrizedFamily
 
-
-def _bump_mass():
-    u = np.linspace(-1.0, 1.0, 4097)
-    vals = bump(u)
-    w = np.ones(4097)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((w @ vals) * (2.0 / 4096) / 3.0)
-
-
-_BUMP_MASS = _bump_mass()
+_BUMP_MASS = float(quad_integral(bump, -1.0, 1.0, 4096))
 
 
 class DeltaMollifier:
@@ -60,10 +54,6 @@ class DeltaMollifier:
         return bump(d / self.eta) / (self.eta * _BUMP_MASS)
 
 
-def mollifier_eval(m: DeltaMollifier, s):
-    return m(s)
-
-
 def _min_circular_gap(centers):
     c = np.sort(np.mod(np.asarray(centers, dtype=float), 1.0))
     gaps = np.diff(np.concatenate([c, [c[0] + 1.0]]))
@@ -79,22 +69,14 @@ class CircleReparam:
     monotone-interpolation start plus Newton polish.
     """
 
-    def __init__(self, density, feature=0.05, samples=None):
+    def __init__(self, density, feature=0.05):
         self.density = density
-        if samples is None:
-            samples = max(8192, int(np.ceil(120.0 / max(feature, 1e-4) / 2.0)) * 2)
-        n = samples
+        n = max(8192, int(np.ceil(120.0 / max(feature, 1e-4) / 2.0)) * 2)
         t = np.arange(n + 1) / n
         rho = np.asarray(density(t), dtype=float)
         if np.any(rho <= 0):
             raise DegenerateWeights("density must be strictly positive")
-        h = 1.0 / n
-        cum = np.empty(n + 1)
-        cum[0] = 0.0
-        even = (h / 3.0) * (rho[0:-2:2] + 4.0 * rho[1:-1:2] + rho[2::2])
-        cum[2::2] = np.cumsum(even)
-        # odd nodes: integrate half a panel with the local quadratic
-        cum[1::2] = cum[0:-1:2] + (h / 12.0) * (5.0 * rho[0:-1:2] + 8.0 * rho[1::2] - rho[2::2])
+        cum = cumulative_simpson(rho, 1.0 / n)
         self.total = float(cum[-1])
         self._t = t
         self._rho = rho
@@ -132,25 +114,25 @@ class CircleReparam:
         return self.phi(s)
 
 
-def _mix_density(weights, centers, eta, lam=LEAK):
+def _mix_density(weights, centers, eta):
     mollifiers = [DeltaMollifier(c, eta) for c in centers]
     w = np.asarray(weights, dtype=float)
 
     def density(s):
         s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, lam)
+        out = np.full(s.shape, LEAK)
         for wi, m in zip(w, mollifiers):
             out = out + wi * m(s)
-        return out / (1.0 + lam)
+        return out / (1.0 + LEAK)
 
     return density
 
 
-def reparam_from_weights(weights, centers, eta=None, lam=LEAK):
+def reparam_from_weights(weights, centers, eta=None):
     """Circle reparametrisation spending roughly time w_i at each center s_i.
 
     The inverse map integrates the weighted mollifier sum plus a uniform leak
-    lam keeping it strictly increasing.
+    LEAK keeping it strictly increasing.
     """
     w = np.asarray(weights, dtype=float)
     centers = np.asarray(centers, dtype=float)
@@ -163,7 +145,7 @@ def reparam_from_weights(weights, centers, eta=None, lam=LEAK):
         raise DegenerateWeights("centers must be distinct mod 1")
     if eta is None:
         eta = gap / 4.0
-    return CircleReparam(_mix_density(w, centers, eta, lam), feature=eta)
+    return CircleReparam(_mix_density(w, centers, eta), feature=eta)
 
 
 def _mollifier_dots(loop, centers, eta, panels=512):
@@ -171,26 +153,11 @@ def _mollifier_dots(loop, centers, eta, panels=512):
     out = []
     for c in centers:
         m = DeltaMollifier(c, eta)
-        nodes = np.linspace(c - eta, c + eta, panels + 1)
-        w = np.ones(panels + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (2.0 * eta / panels) / 3.0
-        out.append(w @ (loop(nodes) * m(nodes)[:, None]))
+        out.append(quad_integral(lambda s: loop(s) * m(s)[:, None], c - eta, c + eta, panels))
     return np.stack(out)
 
 
-def adjust_weights(
-    gamma,
-    g,
-    centers,
-    w0,
-    floor=WEIGHT_FLOOR,
-    eta=None,
-    lam=LEAK,
-    tol=1e-8,
-    max_iter=50,
-):
+def adjust_weights(gamma, g, centers, w0, eta=None):
     """Damped Newton on the simplex making average(gamma . phi_w) = g.
 
     Under the substitution identity the average is affine in w, so Newton
@@ -198,7 +165,6 @@ def adjust_weights(
     targets outside the hull of the sampled basis values surface as
     NoConvergence with the best residual seen.
     """
-    loop = gamma if isinstance(gamma, Loop) else as_loop(gamma)
     g = np.asarray(g, dtype=float).ravel()
     centers = np.asarray(centers, dtype=float)
     k = len(centers)
@@ -206,27 +172,27 @@ def adjust_weights(
     if eta is None:
         eta = gap / 4.0
 
-    a = _mollifier_dots(loop, centers, eta)  # (k, d)
-    abar = average(loop, 2048)
+    a = _mollifier_dots(gamma, centers, eta)  # (k, d)
+    abar = average(gamma, 2048)
 
     def project(w):
-        w = np.maximum(w, floor)
+        w = np.maximum(w, WEIGHT_FLOOR)
         excess = w.sum() - 1.0
-        slack = w - floor
+        slack = w - WEIGHT_FLOOR
         total = slack.sum()
         if total <= 0:
             raise DegenerateWeights("floor infeasible for this many centers")
         return w - excess * slack / total
 
     def residual(w):
-        return (w @ a + lam * abar) / (1.0 + lam) - g
+        return (w @ a + LEAK * abar) / (1.0 + LEAK) - g
 
     w = project(np.asarray(w0, dtype=float))
     r = residual(w)
     best = (float(np.linalg.norm(r)), w.copy())
-    J = np.vstack([a.T / (1.0 + lam), np.ones(k)])
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * 0.25:
+    J = np.vstack([a.T / (1.0 + LEAK), np.ones(k)])
+    for _ in range(_NEWTON_ITERS):
+        if np.linalg.norm(r) <= _NEWTON_TOL * 0.25:
             return w
         rhs = np.append(-r, 0.0)
         try:
@@ -249,10 +215,10 @@ def adjust_weights(
             best = (float(np.linalg.norm(r)), w.copy())
         if not improved:
             break
-    if best[0] <= tol:
+    if best[0] <= _NEWTON_TOL:
         return best[1]
     raise NoConvergence(
-        f"average residual {best[0]:.3e} after {max_iter} iterations",
+        f"average residual {best[0]:.3e} after {_NEWTON_ITERS} iterations",
         best_residual=best[0],
         best_value=best[1],
     )
@@ -338,12 +304,11 @@ class ReparametrizedFamily(LoopFamily):
     strongly concentrated densities.
     """
 
-    def __init__(self, inner, field: DensityField, cache_size=8192):
+    def __init__(self, inner, field: DensityField):
         self.inner = inner
         self.field = field
         self.dim_f = inner.dim_f
         self._cache = OrderedDict()
-        self._cache_size = cache_size
         # quadrature in u must resolve the sharpest mollifier
         self._m_unit = min(int(np.ceil(96.0 / self.field.eta_min / 1024.0)) * 1024, 65536)
 
@@ -355,7 +320,7 @@ class ReparametrizedFamily(LoopFamily):
             return hit
         rp = CircleReparam(self.field.density_at(x), feature=self.field.eta_min)
         self._cache[key] = rp
-        if len(self._cache) > self._cache_size:
+        if len(self._cache) > _REPARAM_CACHE:
             self._cache.popitem(last=False)
         return rp
 
@@ -373,26 +338,13 @@ class ReparametrizedFamily(LoopFamily):
             return np.zeros(self.dim_f)
         need = int(np.ceil((ub - ua) * self._m_unit / 1024.0)) * 1024
         M = max(M, need, 1024)
-        nodes = np.linspace(ua, ub, M + 1)
-        vals = self.inner.eval(x, t, nodes) * rp.density_normalized(nodes)[:, None]
-        w = np.ones(M + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return (w @ vals) * ((ub - ua) / M) / 3.0
+        return quad_integral(lambda u: self.inner.eval(x, t, u) * rp.density_normalized(u)[:, None], ua, ub, M)
 
     def average_at(self, x, t, M=4096):
         return self.integral_over(x, t, 0.0, 1.0, M=M)
 
 
-def reparametrize_family(
-    family,
-    g,
-    grid,
-    certificate_m=64,
-    tol_grid=1e-6,
-    tol_mid=1e-4,
-    max_refine=2,
-):
+def reparametrize_family(family, g, grid, tol_grid=1e-6, tol_mid=1e-4):
     """Reparametrise a surrounding family so t=1 averages equal g at the nodes.
 
     Per node: sample a surround certificate, solve for weights, build a
@@ -401,12 +353,12 @@ def reparametrize_family(
     the blend drifts too far.
     """
     work = grid
-    for attempt in range(max_refine + 1):
+    for attempt in range(_MAX_REFINE + 1):
         node_densities = []
         for x in work.nodes():
             gx = np.asarray(g(x), dtype=float).ravel()
             loop = family.loop_at(x, 1.0)
-            centers, coords, _pts = surround_certificate(loop, gx, M=certificate_m)
+            centers, coords, _pts = surround_certificate(loop, gx, M=_CERTIFICATE_M)
             w0 = np.maximum(coords, WEIGHT_FLOOR)
             w0 = w0 / w0.sum()
             eta = _min_circular_gap(centers) / 4.0
@@ -426,7 +378,7 @@ def reparametrize_family(
             worst_mid = max(worst_mid, float(r))
         if worst_node <= tol_grid and worst_mid <= tol_mid:
             return fam
-        if attempt == max_refine:
+        if attempt == _MAX_REFINE:
             raise NoConvergence(
                 f"reparametrised averages off grid: node {worst_node:.2e}, mid {worst_mid:.2e}",
                 best_residual=max(worst_node, worst_mid),

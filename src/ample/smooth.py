@@ -1,8 +1,11 @@
-"""Closed-form C-infinity primitives (exp(-1/x) ramps, bumps, tents).
+"""Closed-form C-infinity primitives (exp(-1/x) ramps, bumps, tents) and the
+engine's one quadrature rule (composite Simpson, plain and cumulative).
 
 Every construction in the engine that needs a cutoff, a ramp or a bump is
 assembled from these, so smoothness holds by construction and no separate
-mollification pass is ever required.
+mollification pass is ever required.  Every integral over a loop parameter,
+a mollifier support or a phase goes through `quad_integral` or
+`cumulative_simpson`.
 """
 
 import numpy as np
@@ -14,7 +17,8 @@ __all__ = [
     "bump",
     "tent",
     "plateau",
-    "SmoothRamp",
+    "quad_integral",
+    "cumulative_simpson",
 ]
 
 
@@ -68,35 +72,29 @@ def plateau(d, d0, d1):
     return 1.0 - transition(d, d0, d1)
 
 
-class SmoothRamp:
-    """Monotone C-infinity reparametrisation of [0,1] with flat ends.
+def quad_integral(f, a, b, M):
+    """Composite Simpson integral over [a, b] with M panels (even, >= 4) of a
+    vectorized integrand; f maps the M + 1 nodes to values of any shape with
+    the nodes on axis 0."""
+    if M < 4 or M % 2:
+        raise ValueError("Simpson panel count must be even and at least 4")
+    vals = np.asarray(f(np.linspace(a, b, M + 1)), dtype=float)
+    w = np.ones(M + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    # matmul on a 2-D view is faster than tensordot for the small integrands here
+    out = w @ vals.reshape(M + 1, -1)
+    return out.reshape(vals.shape[1:]) * ((b - a) / M) / 3.0
 
-    Maps [0, c] to 0 and [1-c, 1] to 1, stays within O(c) of the identity in
-    between.  Built as the normalized cumulative integral of a smooth
-    indicator, tabulated once on a dense grid; both the value and the
-    derivative are exposed.
-    """
 
-    def __init__(self, c=0.06, samples=8192):
-        if not 0 < c < 0.5:
-            raise ValueError("plateau width must be in (0, 1/2)")
-        self.c = float(c)
-        t = np.linspace(0.0, 1.0, samples + 1)
-        chi = transition(t, c / 2, 1.5 * c) * (1.0 - transition(t, 1.0 - 1.5 * c, 1.0 - c / 2))
-        cum = np.concatenate([[0.0], np.cumsum((chi[1:] + chi[:-1]) * 0.5 * (t[1] - t[0]))])
-        self._t = t
-        self._chi = chi
-        self._cum = cum / cum[-1]
-        self._norm = cum[-1]
-
-    def __call__(self, p):
-        p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-        return np.interp(p, self._t, self._cum)
-
-    def derivative(self, p):
-        p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-        return np.interp(p, self._t, self._chi) / self._norm
-
-    def max_identity_deviation(self, samples=2001):
-        p = np.linspace(0.0, 1.0, samples)
-        return float(np.max(np.abs(self(p) - p)))
+def cumulative_simpson(vals, h):
+    """Integrals from the first sample to every sample of equally spaced
+    values (axis 0, even panel count): composite Simpson at even nodes, the
+    quadratic through each panel pair for the half pair at odd nodes."""
+    if len(vals) < 5 or len(vals) % 2 == 0:
+        raise ValueError("Simpson panel count must be even and at least 4")
+    f0, f1, f2 = vals[0:-1:2], vals[1::2], vals[2::2]
+    out = np.zeros_like(vals)
+    out[2::2] = np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2), axis=0)
+    out[1::2] = out[0:-1:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    return out

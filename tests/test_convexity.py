@@ -1,19 +1,21 @@
-import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ample import convexity
 from ample.convexity import (
     AffineBasis,
-    affine_weights,
     barycentric_coords,
-    caratheodory_select,
     flood_fill_component,
     is_interior_of_hull,
     surrounds,
 )
 from ample.errors import SeedOutside, SingularBasis
+from ample.grids import bfs
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -99,69 +101,6 @@ class TestSurrounds:
             assert np.linalg.norm(w @ pts[list(idx)] - v) <= 1e-8
 
 
-def exhaustive_hull_membership(points, v, tol=1e-9):
-    """Independent oracle: scan every subset of size <= d+1 for a nonnegative
-    affine combination hitting v."""
-    pts = np.asarray(points, dtype=float)
-    n, d = pts.shape
-    scale = 1.0 + np.linalg.norm(v)
-    for k in range(1, d + 2):
-        for idx in itertools.combinations(range(n), k):
-            A = np.vstack([pts[list(idx)].T, np.ones(k)])
-            b = np.append(v, 1.0)
-            w, *_ = np.linalg.lstsq(A, b, rcond=None)
-            if np.linalg.norm(A @ w - b) <= tol * scale and np.all(w >= -1e-12):
-                return True
-    return False
-
-
-class TestCaratheodory:
-    def test_single_point(self):
-        assert caratheodory_select(TRIANGLE, TRIANGLE[0]) == (0,)
-
-    def test_square_center_certificate(self):
-        idx = caratheodory_select(SQUARE, [0.5, 0.5])
-        assert idx is not None and len(idx) <= 3
-        w, res = affine_weights(SQUARE[list(idx)], [0.5, 0.5])
-        assert res <= 1e-9
-        assert np.all(w >= -1e-12)
-        assert abs(w.sum() - 1.0) <= 1e-9
-        # oracle: some 3-subset also certifies the center
-        assert exhaustive_hull_membership(SQUARE, np.array([0.5, 0.5]))
-
-    def test_far_outside(self):
-        assert caratheodory_select(SQUARE, [25.0, -40.0]) is None
-
-    def test_oracle_equivalence_small(self):
-        rng = np.random.default_rng(2)
-        for _ in range(40):
-            n = int(rng.integers(3, 9))
-            pts = rng.normal(size=(n, 2))
-            if rng.random() < 0.5:
-                w = rng.dirichlet(np.ones(n))
-                v = w @ pts
-            else:
-                v = rng.normal(size=2) * 3.0
-            got = caratheodory_select(pts, v)
-            want = exhaustive_hull_membership(pts, v)
-            assert (got is not None) == want
-            if got is not None:
-                ww, res = affine_weights(pts[list(got)], v)
-                assert res <= 1e-8 and np.all(ww >= -1e-9)
-
-    def test_nnls_path_large(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            pts = rng.normal(size=(20, 3))
-            w = rng.dirichlet(np.ones(20))
-            v = w @ pts
-            idx = caratheodory_select(pts, v)
-            assert idx is not None and len(idx) <= 4
-            ww, res = affine_weights(pts[list(idx)], v)
-            assert res <= 1e-8 and np.all(ww >= -1e-9)
-        assert caratheodory_select(rng.normal(size=(20, 3)), 50.0 * np.ones(3)) is None
-
-
 def brute_force_components(grid_points, member):
     """Independent union-find over the grid graph."""
     pts = [tuple(np.round(p, 12)) for p in grid_points if member(np.asarray(p))]
@@ -239,3 +178,39 @@ class TestFloodFill:
     def test_seed_outside(self):
         with pytest.raises(SeedOutside):
             flood_fill_component(lambda y: y[0] > 0, [-0.5], ([-1.0], [1.0]), 0.25)
+
+
+# boolean masks over an integer grid with at least two nodes per axis
+MASKS = arrays(bool, array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6))
+
+
+class TestGridBFS:
+    @settings(max_examples=80, deadline=None)
+    @given(mask=MASKS, data=st.data())
+    def test_random_masks_match_union_find(self, mask, data):
+        members = np.argwhere(mask)
+        assume(len(members) > 0)
+        # the oracle reads the spacing off the member nodes: it must come out as 1
+        assume(any(np.any(np.diff(np.unique(members[:, ax])) == 1) for ax in range(mask.ndim)))
+        start = tuple(int(i) for i in members[data.draw(st.integers(0, len(members) - 1))])
+
+        def member(y):
+            return bool(mask[tuple(np.round(y).astype(int))])
+
+        box = (np.zeros(mask.ndim), np.array(mask.shape, dtype=float) - 1.0)
+        comp = flood_fill_component(member, np.array(start, dtype=float), box, 1.0)
+        comps = brute_force_components(comp.grid.nodes(), member)
+        oracle = next(v for v in comps.values() if tuple(map(float, start)) in v)
+        assert {tuple(np.round(p, 12)) for p in comp.points()} == oracle
+
+        asked = Counter()
+
+        def admit(node):
+            asked[node] += 1
+            return bool(mask[node])
+
+        reached = bfs(mask.shape, start, admit)
+        assert start not in asked and max(asked.values(), default=0) <= 1
+        assert {tuple(map(float, node)) for node in reached} == oracle
+        for node, parent in reached.items():
+            assert parent is None or sum(abs(a - b) for a, b in zip(node, parent)) == 1

@@ -8,12 +8,12 @@ from ample.corrugation import (
     corrugated_derivative,
     corrugation,
     corrugation_direct,
-    quad_integral,
     remainder,
     sup_norms,
 )
 from ample.errors import BudgetExceeded
 from ample.jets import DualPair
+from ample.smooth import quad_integral
 
 
 class CircleFamily(loops.LoopFamily):

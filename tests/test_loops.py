@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ample import convexity, loops
 from ample.errors import NotSurrounded
+from ample.grids import GridRegion
 from ample.loops import (
+    Loop,
     RoundTripFamily,
-    as_loop,
+    SatisfiedOrRefund,
+    TranslatedFamily,
     average,
     glue_families,
-    round_trip_family,
-    satisfied_or_refund,
     surround_certificate,
     surrounding_loop_at,
-    translate_family,
 )
 
 
@@ -23,13 +26,13 @@ def circle_loop(center=(0.0, 0.0), radius=1.0):
         s = np.atleast_1d(s)
         return c + radius * np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)], axis=-1)
 
-    return as_loop(fn, 2)
+    return Loop(fn, 2)
 
 
 class TestAverage:
     def test_constant(self):
         c = np.array([2.0, -1.0])
-        assert np.allclose(average(as_loop(lambda s: np.tile(c, (len(np.atleast_1d(s)), 1))), 16), c)
+        assert np.allclose(average(Loop(lambda s: np.tile(c, (len(np.atleast_1d(s)), 1))), 16), c)
 
     def test_circle_closed_form(self):
         # oracle: the exact integral of (cos, sin) over a period vanishes
@@ -43,7 +46,7 @@ class TestAverage:
         g1 = circle_loop()
         g2 = circle_loop(center=(1.0, 2.0), radius=0.5)
         a, b = 2.5, -1.25
-        mix = as_loop(lambda s: a * g1(s) + b * g2(s))
+        mix = Loop(lambda s: a * g1(s) + b * g2(s))
         lhs = average(mix, 128)
         rhs = a * average(g1, 128) + b * average(g2, 128)
         assert np.linalg.norm(lhs - rhs) <= 1e-12
@@ -55,25 +58,25 @@ class TestAverage:
 
 class TestRoundTrip:
     def test_t_zero_constant(self):
-        fam = round_trip_family([1.0, 2.0], [[3.0, 4.0]])
+        fam = RoundTripFamily([1.0, 2.0], [[3.0, 4.0]])
         vals = fam.eval(None, 0.0, np.linspace(0, 1, 33))
         assert np.allclose(vals, [1.0, 2.0], atol=1e-12)
 
     def test_base_point_all_t(self):
-        fam = round_trip_family([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+        fam = RoundTripFamily([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
         for t in (0.0, 0.3, 1.0):
             assert np.allclose(fam.eval(None, t, np.array([0.0]))[0], [0.5, 0.5], atol=1e-12)
 
     def test_waypoints_visited(self):
         # oracle: membership of each waypoint among dense samples
         wps = [np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([-0.5, 0.5])]
-        fam = round_trip_family([0.0, 0.0], wps)
+        fam = RoundTripFamily([0.0, 0.0], wps)
         vals = fam.eval(None, 1.0, np.arange(512) / 512)
         for w in wps:
             assert np.min(np.linalg.norm(vals - w, axis=1)) <= 1e-6
 
     def test_periodicity(self):
-        fam = round_trip_family([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        fam = RoundTripFamily([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         rng = np.random.default_rng(0)
         s = rng.uniform(-2, 2, size=64)
         a = fam.eval(None, 0.8, s)
@@ -113,7 +116,7 @@ class TestTranslate:
     def test_zero_translation_identity(self):
         res = self.make_result()
         res.family.anchor = np.array([0.0])
-        fam = translate_family(res.family, lambda x: np.array([1.0, 0.0]))
+        fam = TranslatedFamily(res.family, lambda x: np.array([1.0, 0.0]))
         s = np.linspace(0, 1, 17)
         assert np.allclose(fam.eval(np.array([0.7]), 1.0, s), res.family.eval(None, 1.0, s))
 
@@ -121,7 +124,7 @@ class TestTranslate:
         res = self.make_result()
         res.family.anchor = np.array([0.0])
         beta = lambda x: np.array([1.0 + 0.2 * x[0], 0.1 * x[0]])
-        fam = translate_family(res.family, beta)
+        fam = TranslatedFamily(res.family, beta)
         x = np.array([0.5])
         assert np.allclose(fam.eval(x, 0.6, np.array([0.0]))[0], beta(x), atol=1e-12)
 
@@ -129,7 +132,7 @@ class TestTranslate:
         res = self.make_result()
         res.family.anchor = np.array([0.0])
         beta = lambda x: np.array([1.0 + 0.05 * x[0], 0.05 * x[0]])
-        fam = translate_family(res.family, beta)
+        fam = TranslatedFamily(res.family, beta)
         for xv in (-0.5, 0.25, 0.9):
             loop = fam.loop_at(np.array([xv]), 1.0)
             s, coords, pts = surround_certificate(loop, [0.0, 0.0], M=64)
@@ -148,7 +151,7 @@ def make_pair_of_families():
 class TestSatisfiedOrRefund:
     def test_endpoints(self):
         g0, g1 = make_pair_of_families()
-        delta = satisfied_or_refund(g0, g1)
+        delta = SatisfiedOrRefund(g0, g1)
         s = np.linspace(0, 1, 33)
         for t in (0.0, 0.5, 1.0):
             assert np.max(np.abs(delta.eval(0.0, None, t, s) - g0.eval(None, t, s))) <= 1e-9
@@ -157,7 +160,7 @@ class TestSatisfiedOrRefund:
     def test_half_time_contains_both_images(self):
         # oracle: at tau = 1/2 the t=1 loop runs both inputs, rescaled by 2
         g0, g1 = make_pair_of_families()
-        delta = satisfied_or_refund(g0, g1)
+        delta = SatisfiedOrRefund(g0, g1)
         fine = delta.eval(0.5, None, 1.0, np.arange(1024) / 1024)
         for g in (g0, g1):
             targets = g.eval(None, 1.0, np.arange(64) / 64)
@@ -166,15 +169,15 @@ class TestSatisfiedOrRefund:
 
     def test_surrounds_at_every_tau(self):
         g0, g1 = make_pair_of_families()
-        delta = satisfied_or_refund(g0, g1)
+        delta = SatisfiedOrRefund(g0, g1)
         for tau in np.linspace(0, 1, 9):
-            loop = as_loop(lambda s, _t=tau: delta.eval(_t, None, 1.0, s))
+            loop = Loop(lambda s, _t=tau: delta.eval(_t, None, 1.0, s))
             _, coords, _ = surround_certificate(loop, [0.0, 0.0], M=128)
             assert coords.min() > 0
 
     def test_base_point_preserved(self):
         g0, g1 = make_pair_of_families()
-        delta = satisfied_or_refund(g0, g1)
+        delta = SatisfiedOrRefund(g0, g1)
         for tau in (0.2, 0.5, 0.9):
             for t in (0.0, 0.4, 1.0):
                 v = delta.eval(tau, None, t, np.array([0.0]))[0]
@@ -208,7 +211,7 @@ class TestGlue:
         c1 = lambda x: 0.4
         c2 = lambda x: 0.3
         chained = glue_families(glue_families(g0, g1, c1), g2, c2)
-        nested = satisfied_or_refund(satisfied_or_refund(g0, g1).family_at(0.4), g2)
+        nested = SatisfiedOrRefund(SatisfiedOrRefund(g0, g1).family_at(0.4), g2)
         s = np.linspace(0, 1, 257)
         for t in (0.3, 1.0):
             a = chained.eval(np.zeros(1), t, s)
@@ -236,7 +239,48 @@ class TestRobustSurround:
                 s = np.atleast_1d(s)
                 return loop(s) + amp * np.cos(2 * np.pi * k * s + phase)[:, None] * d
 
-            vals = as_loop(pert)(s_c)
+            vals = Loop(pert)(s_c)
             b = convexity.AffineBasis(vals)
             w = convexity.barycentric_coords(b, [0.1, -0.05])
             assert w.min() > 0
+
+
+class TestCandidateOrder:
+    def test_collinear_candidates(self):
+        # Qhull rejects a flat point set; the nearest points still come back
+        pts = np.stack([np.linspace(-1.0, 1.0, 9), 0.5 * np.linspace(-1.0, 1.0, 9)], axis=1)
+        target = np.array([0.3, 0.0])
+        d = np.linalg.norm(pts - target, axis=1)
+        assert loops._candidate_order(pts, target) == sorted(range(9), key=lambda i: (d[i], i))
+
+
+class TestGridPath:
+    @settings(max_examples=80, deadline=None)
+    @given(mask=arrays(bool, array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6)), data=st.data())
+    def test_shortest_chain_inside_the_mask(self, mask, data):
+        members = np.argwhere(mask)
+        assume(len(members) > 0)
+        start = tuple(members[data.draw(st.integers(0, len(members) - 1))])
+        comp = convexity.flood_fill_component(
+            lambda y: bool(mask[tuple(np.round(y).astype(int))]),
+            np.array(start, dtype=float),
+            (np.zeros(mask.ndim), np.array(mask.shape, dtype=float) - 1.0),
+            1.0,
+        )
+        reachable = np.argwhere(comp.region.mask)
+        goal = tuple(reachable[data.draw(st.integers(0, len(reachable) - 1))])
+
+        path = loops._grid_path(comp, np.array(start, dtype=float), np.array(goal, dtype=float))
+
+        idx = [tuple(int(v) for v in np.round(p)) for p in path]
+        assert idx[0] == start and idx[-1] == goal
+        assert all(mask[i] for i in idx)
+        assert all(np.sum(np.abs(np.subtract(a, b))) == 1 for a, b in zip(idx, idx[1:]))
+        # oracle: grow the start by one cell at a time inside the mask
+        seen = np.zeros(mask.shape, dtype=bool)
+        seen[start] = True
+        steps = 0
+        while not seen[goal]:
+            seen = GridRegion(comp.grid, seen).dilate(1).mask & mask
+            steps += 1
+        assert len(path) - 1 == steps
