@@ -4,11 +4,15 @@ flood fill for connected components of open sets.
 The "surrounds" predicate is deliberately stricter than hull-interior
 membership: it demands an affine basis drawn from the given points giving
 the target strictly positive coordinates, and the vertices of a square
-around its center show the two notions genuinely differ.
+around its center show the two notions genuinely differ.  `surrounds`
+takes one floor on the coordinates or a tuple of floors, and
+answers every floor of a tuple from one scan of the subsets, made in
+chunks of stacked determinants and solves.
 """
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -26,12 +30,14 @@ __all__ = [
 
 DET_FLOOR = 1e-10
 _COMBO_BUDGET = 2_000_000
+_SCAN_CHUNK = 512  # subsets per stacked solve; early hits stop after one chunk
 
 
 def _affine_matrix(points):
-    """Columns (p_i, 1); the basis test is |det| of this square matrix."""
+    """Columns (p_i, 1), for one set of points or a stack of sets; the basis
+    test is |det| of this square matrix."""
     pts = np.asarray(points, dtype=float)
-    return np.vstack([pts.T, np.ones(len(pts))])
+    return np.swapaxes(np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -75,29 +81,47 @@ def is_interior_of_hull(basis: AffineBasis, q, mu):
 def surrounds(points, v, mu=1e-6):
     """First affine basis among `points` giving v coordinates >= mu.
 
-    Scans (d+1)-subsets in lexicographic index order for determinism and
-    returns (indices, coords), or None when no subset qualifies.  Absence is
-    a value, not an error: a loop through the vertices of a square never
-    surrounds the center even though the center is in the hull.
+    mu is one floor or a tuple of floors.  The answer is the first basis in
+    lexicographic index order for the highest floor that any basis meets, so
+    a tuple answers like trying each floor in turn from the highest, from
+    one scan.  Returns (indices, coords), or None when no subset qualifies.
+    Absence is a value, not an error: a loop through the vertices of a
+    square never surrounds the center even though the center is in the hull.
+
+    The (d+1)-subsets are walked _SCAN_CHUNK at a time with one stacked
+    det and one stacked solve per chunk; the walk stops at the first hit of
+    the highest floor, and a lower floor's first hit is kept until then.
     """
     pts = np.asarray(points, dtype=float)
     v = np.asarray(v, dtype=float).ravel()
     n, d = pts.shape
     if n < d + 1:
         return None
-    from math import comb
-
     if comb(n, d + 1) > _COMBO_BUDGET:
         raise ValueError("too many candidate subsets; reduce the point set first")
+    floors = np.sort(np.atleast_1d(np.asarray(mu, dtype=float)))[::-1]
     target = np.append(v, 1.0)
-    for idx in itertools.combinations(range(n), d + 1):
-        M = _affine_matrix(pts[list(idx)])
-        if abs(np.linalg.det(M)) <= DET_FLOOR:
-            continue
-        w = np.linalg.solve(M, target)
-        if np.all(w >= mu):
-            return tuple(idx), w
-    return None
+    subsets = itertools.combinations(range(n), d + 1)
+    found, level = None, len(floors)  # best hit so far and its floor's rank
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, _SCAN_CHUNK))
+        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, d + 1)
+        if len(idx) == 0:
+            return found
+        mats = _affine_matrix(pts[idx])
+        ok = np.flatnonzero(np.abs(np.linalg.det(mats)) > DET_FLOOR)
+        # a (k, m, 1) right-hand side reads as a stack of columns on numpy 1.x and 2.x
+        rhs = np.broadcast_to(target[:, None], (len(ok), d + 1, 1))
+        coords = np.linalg.solve(mats[ok], rhs)[..., 0]
+        low = coords.min(axis=1)
+        for k in range(level):  # only floors above the best hit so far
+            hits = np.flatnonzero(low >= floors[k])
+            if hits.size:
+                j = hits[0]
+                found, level = (tuple(int(i) for i in idx[ok[j]]), coords[j].copy()), k
+                break
+        if level == 0:
+            return found
 
 
 @dataclass

@@ -364,12 +364,12 @@ def _grid_path(component, start, goal):
     return [grid.node(i) for i in reversed(path)]
 
 
-def _simplify_polyline(points, tol=1e-12):
+def _simplify_polyline(points):
     """Drop repeated points and interior points of straight runs."""
     pts = [np.asarray(p, dtype=float) for p in points]
     dedup = [pts[0]]
     for p in pts[1:]:
-        if np.linalg.norm(p - dedup[-1]) > tol:
+        if np.linalg.norm(p - dedup[-1]) > 1e-12:
             dedup.append(p)
     if len(dedup) <= 2:
         return dedup
@@ -410,11 +410,7 @@ def surrounding_loop_at(omega_x, beta_x, g_x, box, h):
         if len(pts) >= g_x.size + 1:
             order = _candidate_order(pts, g_x)
             cand = pts[order]
-            found = None
-            for mu in _SURROUND_FLOORS:
-                found = convexity.surrounds(cand, g_x, mu)
-                if found is not None:
-                    break
+            found = convexity.surrounds(cand, g_x, _SURROUND_FLOORS)
             if found is not None:
                 sub_idx, coords = found
                 basis_pts = cand[list(sub_idx)]
@@ -452,11 +448,7 @@ def surround_certificate(loop, g, M=64):
     pts = loop(svals)
     order = _candidate_order(pts, g)
     cand = pts[order]
-    found = None
-    for mu in _SURROUND_FLOORS:
-        found = convexity.surrounds(cand, g, mu)
-        if found is not None:
-            break
+    found = convexity.surrounds(cand, g, _SURROUND_FLOORS)
     if found is None:
         raise NotSurrounded("loop does not surround the target on samples")
     sub_idx, coords = found
@@ -474,11 +466,11 @@ def surround_certificate(loop, g, M=64):
 _RING_POINTS_2D = 8
 
 
-def _star_waypoints(dim, rng_points=_RING_POINTS_2D):
+def _star_waypoints(dim):
     """Unit-scale waypoints surrounding the origin: a circle in a coordinate
     plane when dim = 2, regular-simplex vertices in higher dimension."""
     if dim == 2:
-        ang = 2.0 * np.pi * np.arange(rng_points) / rng_points
+        ang = 2.0 * np.pi * np.arange(_RING_POINTS_2D) / _RING_POINTS_2D
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
     # regular simplex: d+1 unit vectors with pairwise equal angles
     eye = np.eye(dim + 1)

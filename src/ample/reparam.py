@@ -35,6 +35,7 @@ _NEWTON_ITERS = 50
 _CERTIFICATE_M = 64  # loop samples per surround certificate
 _MAX_REFINE = 2  # node-grid refinements in reparametrize_family
 _REPARAM_CACHE = 8192  # circle maps kept per ReparametrizedFamily
+_DOT_PANELS = 512  # Simpson panels over each mollifier's support in _mollifier_dots
 
 _BUMP_MASS = float(quad_integral(bump, -1.0, 1.0, 4096))
 
@@ -148,12 +149,12 @@ def reparam_from_weights(weights, centers, eta=None):
     return CircleReparam(_mix_density(w, centers, eta), feature=eta)
 
 
-def _mollifier_dots(loop, centers, eta, panels=512):
+def _mollifier_dots(loop, centers, eta):
     """a_i = int gamma(s) m_i(s) ds over each mollifier's support."""
     out = []
     for c in centers:
         m = DeltaMollifier(c, eta)
-        out.append(quad_integral(lambda s: loop(s) * m(s)[:, None], c - eta, c + eta, panels))
+        out.append(quad_integral(lambda s: loop(s) * m(s)[:, None], c - eta, c + eta, _DOT_PANELS))
     return np.stack(out)
 
 

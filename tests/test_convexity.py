@@ -1,8 +1,9 @@
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -71,6 +72,62 @@ class TestInterior:
         assert not is_interior_of_hull(b, [0.25, 0.25], 0.3)
 
 
+FLOORS = (5e-2, 1e-2, 1e-3, 1e-6)
+
+
+def per_subset_scan(points, v, mu):
+    """Reference for `surrounds`: one det and one solve per subset, one pass per
+    floor.  Returns (indices, coords, rank of the indices in lexicographic order)."""
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    target = np.append(v, 1.0)
+    for floor in np.atleast_1d(mu):
+        for rank, idx in enumerate(itertools.combinations(range(n), d + 1)):
+            M = np.vstack([pts[list(idx)].T, np.ones(d + 1)])
+            if abs(np.linalg.det(M)) <= convexity.DET_FLOOR:
+                continue
+            w = np.linalg.solve(M, target)
+            if np.all(w >= floor):
+                return idx, w, rank
+    return None
+
+
+def assert_same_answer(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+
+@st.composite
+def scan_cases(draw):
+    """Points and target whose subsets run past one chunk at the largest n."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, {1: 40, 2: 20, 3: 14}[d]))
+    pts = draw(arrays(float, (n, d), elements=st.floats(-2.0, 2.0)))
+    v = draw(arrays(float, d, elements=st.floats(-1.0, 1.0)))
+    if draw(st.booleans()):  # lattice points: repeated, collinear, v on edges
+        pts, v = np.round(pts), np.round(v)
+    pts[: draw(st.integers(0, n // 2))] = v  # bases with a vertex at v push the first hit later
+    return pts, v
+
+
+# p0 with p1 meets only the 1e-3 floor, p0 with 1000 only 1e-6, both in the first chunk;
+# the copies of v meet no floor, and the last pair meets 5e-2
+LOWER_FLOOR_FIRST = (np.array([-1.0, 0.005] + [0.0] * 36 + [1000.0, -1000.0])[:, None], np.zeros(1))
+# C(20, 3) = 1140 subsets; none of the 776 with a vertex at v (the first six points) hits
+PLANE_LATE_HIT = (
+    np.vstack([np.zeros((6, 2)), np.random.default_rng(3).normal(size=(14, 2))]),
+    np.zeros(2),
+)
+# both examples first hit past the first chunk, so they exercise the chunk walk
+assert all(
+    per_subset_scan(*case, mu)[2] >= convexity._SCAN_CHUNK
+    for case in (LOWER_FLOOR_FIRST, PLANE_LATE_HIT)
+    for mu in (1e-2, FLOORS)
+)
+
+
 class TestSurrounds:
     def test_square_center_not_surrounded(self):
         # the center sits on an edge of every vertex triangle
@@ -100,9 +157,18 @@ class TestSurrounds:
             assert is_interior_of_hull(basis, v, 1e-6)
             assert np.linalg.norm(w @ pts[list(idx)] - v) <= 1e-8
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=scan_cases())
+    @example(case=LOWER_FLOOR_FIRST)
+    @example(case=PLANE_LATE_HIT)
+    def test_matches_per_subset_scan(self, case):
+        pts, v = case
+        for mu in (1e-2, FLOORS):
+            assert_same_answer(surrounds(pts, v, mu), per_subset_scan(pts, v, mu))
 
-def brute_force_components(grid_points, member):
-    """Independent union-find over the grid graph."""
+
+def brute_force_components(grid_points, member, h):
+    """Independent union-find over the grid graph of spacing h."""
     pts = [tuple(np.round(p, 12)) for p in grid_points if member(np.asarray(p))]
     index = {p: i for i, p in enumerate(pts)}
     parent = list(range(len(pts)))
@@ -116,18 +182,8 @@ def brute_force_components(grid_points, member):
     def union(i, j):
         parent[find(i)] = find(j)
 
-    arr = np.array(pts)
-    if len(arr) == 0:
-        return {}
-    # infer spacing from the sorted unique coordinates
-    h = None
-    for dim in range(arr.shape[1]):
-        u = np.unique(arr[:, dim])
-        if len(u) > 1:
-            d = np.min(np.diff(u))
-            h = d if h is None else min(h, d)
     for i, p in enumerate(pts):
-        for dim in range(arr.shape[1]):
+        for dim in range(len(p)):
             q = list(p)
             q[dim] = round(q[dim] + h, 12)
             j = index.get(tuple(q))
@@ -158,7 +214,7 @@ class TestFloodFill:
 
         comp = flood_fill_component(member, seed=[0.0, 1.0], box=([-1.0, -1.0], [1.0, 1.0]), h=0.2)
         all_nodes = comp.grid.nodes()
-        comps = brute_force_components(all_nodes, member)
+        comps = brute_force_components(all_nodes, member, comp.h)
         seed_node = min(
             (tuple(np.round(p, 12)) for p in all_nodes if member(p)),
             key=lambda q: np.linalg.norm(np.array(q) - np.array([0.0, 1.0])),
@@ -186,20 +242,19 @@ MASKS = arrays(bool, array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6
 
 class TestGridBFS:
     @settings(max_examples=80, deadline=None)
-    @given(mask=MASKS, data=st.data())
-    def test_random_masks_match_union_find(self, mask, data):
+    @given(mask=MASKS, pick=st.integers(0, 215))
+    @example(mask=np.array([True, False, True]), pick=0)  # a gap splits {0} from {2}
+    def test_random_masks_match_union_find(self, mask, pick):
         members = np.argwhere(mask)
         assume(len(members) > 0)
-        # the oracle reads the spacing off the member nodes: it must come out as 1
-        assume(any(np.any(np.diff(np.unique(members[:, ax])) == 1) for ax in range(mask.ndim)))
-        start = tuple(int(i) for i in members[data.draw(st.integers(0, len(members) - 1))])
+        start = tuple(int(i) for i in members[pick % len(members)])
 
         def member(y):
             return bool(mask[tuple(np.round(y).astype(int))])
 
         box = (np.zeros(mask.ndim), np.array(mask.shape, dtype=float) - 1.0)
         comp = flood_fill_component(member, np.array(start, dtype=float), box, 1.0)
-        comps = brute_force_components(comp.grid.nodes(), member)
+        comps = brute_force_components(comp.grid.nodes(), member, 1.0)
         oracle = next(v for v in comps.values() if tuple(map(float, start)) in v)
         assert {tuple(np.round(p, 12)) for p in comp.points()} == oracle
 

@@ -101,10 +101,15 @@ class TestSurroundingLoopAt:
         b = convexity.AffineBasis(res.basis_points)
         assert convexity.is_interior_of_hull(b, [0.0, 0.0], 1e-6)
 
-    def test_target_outside_hull(self):
+    def test_target_outside_hull(self, monkeypatch):
+        scans = []
+        scan = convexity.surrounds
+        monkeypatch.setattr(convexity, "surrounds", lambda *args: scans.append(args) or scan(*args))
         omega = lambda w: w[1] > 0
         with pytest.raises(NotSurrounded):
             surrounding_loop_at(omega, [0.0, 1.0], [0.0, -1.0], ([-2.0, -2.0], [2.0, 2.0]), 0.25)
+        # every surround floor is tested in one scan per h level
+        assert 0 < len(scans) <= loops._MAX_H_HALVINGS + 1
 
 
 class TestTranslate:
