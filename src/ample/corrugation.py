@@ -12,20 +12,20 @@ x-derivative.
 
 The same reduction gives the bound: Corr = A(x, t, frac(N pi(x))) / N with
 A(r) = int_0^r (gamma - avg), so sup |Corr| = max_r |A| / N, and the
-remainder is bounded by max_r |B|_F / N with B built from d(gamma)/dx.  The
-maxima run over every phase r in [0, 1] at each sampled (x, t); the sample
-points only see the slow x-dependence of gamma and cannot alias with N.
+remainder is bounded by max_r |B|_F / N with B built from central differences
+of gamma in x.  The maxima run over every phase r in [0, 1] at each sampled
+(x, t); the sample points only see the slow x-dependence of gamma and cannot
+alias with N.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetExceeded
 from .jets import DualPair, fd_jacobian
-from .smooth import cumulative_simpson, quad_integral
+from .smooth import cumulative_simpson
 
 __all__ = [
     "CorrugationJob",
@@ -38,17 +38,18 @@ __all__ = [
 ]
 
 
+_AVG_M = 512  # Simpson panels of a loop average
+_FRAC_M = 512  # Simpson panels over a fractional period, and phase nodes of the bound
+_K_MAX = 30  # choose_N gives up past N = 2^_K_MAX
+
+
 @dataclass
 class CorrugationJob:
-    """Corrugation data: dual pair, frequency, loop family, optional analytic
-    x-derivative of the family ((x, t, s_array) -> (n_s, dim_f, dim_e))."""
+    """Corrugation data: dual pair, frequency, loop family."""
 
     p: DualPair
     N: float
     family: object
-    dgamma_dx: Optional[Callable] = None
-    avg_m: int = 512
-    frac_m: int = 512
     _avg_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -59,7 +60,7 @@ class CorrugationJob:
         key = (np.atleast_1d(np.asarray(x, dtype=float)).tobytes(), float(t))
         hit = self._avg_cache.get(key)
         if hit is None:
-            hit = self.family.average_at(x, t, M=self.avg_m)
+            hit = self.family.average_at(x, t, M=_AVG_M)
             if len(self._avg_cache) > 20000:
                 self._avg_cache.clear()
             self._avg_cache[key] = hit
@@ -82,54 +83,38 @@ def corrugation(job: CorrugationJob, x, t):
     avg = job.average_at(x, t)
     if r == 0.0:
         return np.zeros_like(avg)
-    I = job.family.integral_over(x, t, 0.0, r, M=job.frac_m)
+    I = job.family.integral_over(x, t, 0.0, r, M=_FRAC_M)
     return (I - r * avg) / job.N
 
 
-def corrugation_direct(job: CorrugationJob, x, t, M=None):
+def corrugation_direct(job: CorrugationJob, x, t):
     """Corrugation by direct quadrature over the full span [0, N pi(x)].
 
-    Reference path for the periodicity reduction; M defaults to the density
-    the reduction implicitly uses.
+    Reference path for the periodicity reduction, at the panel density the
+    reduction implicitly uses.
     """
     z, _, _ = _frac_split(job, x)
     if z == 0.0:
         return np.zeros(job.family.dim_f)
-    if M is None:
-        M = max(2048, 512 * int(np.ceil(abs(z))))
-        M += M % 2
+    M = max(2048, 512 * int(np.ceil(abs(z))))
+    M += M % 2
     avg = job.average_at(x, t)
     I = job.family.integral_over(x, t, 0.0, z, M=M)
     return (I - z * avg) / job.N
 
 
-def _dgamma_integrand(job: CorrugationJob, x, t):
-    """The analytic x-derivative of the family at (x, t) as a function of s,
-    and its average over one period."""
-
-    def integrand(s):
-        return np.asarray(job.dgamma_dx(x, t, np.atleast_1d(s)), dtype=float)
-
-    return integrand, quad_integral(integrand, 0.0, 1.0, job.avg_m)
-
-
 def remainder(job: CorrugationJob, x, t):
     """Corrugation of the family's x-derivative: the error term of the
-    derivative formula.  Finite differences are used when no analytic
-    derivative was supplied; the integral limits stay frozen at x."""
+    derivative formula, by central differences with the integral limits
+    frozen at x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _, _, r = _frac_split(job, x)
     if r == 0.0:
         e_dim = x.size
         return np.zeros((job.family.dim_f, e_dim))
 
-    if job.dgamma_dx is not None:
-        integrand, avg_d = _dgamma_integrand(job, x, t)
-        I = quad_integral(integrand, 0.0, r, job.frac_m)
-        return (I - r * avg_d) / job.N
-
     def frozen(z):
-        return job.family.integral_over(z, t, 0.0, r, M=job.frac_m) - r * job.family.average_at(z, t, M=job.avg_m)
+        return job.family.integral_over(z, t, 0.0, r, M=_FRAC_M) - r * job.family.average_at(z, t, M=_AVG_M)
 
     return fd_jacobian(frozen, x) / job.N
 
@@ -151,20 +136,16 @@ def _phase_max(vals, avg, s):
 
 def _phase_constants(job: CorrugationJob, x, t):
     """(max_r |A|, max_r |B|_F) at one (x, t), from one cumulative quadrature
-    over the frac_m phase nodes; B uses the analytic x-derivative when given,
-    else the central differences of `remainder`."""
-    s = np.linspace(0.0, 1.0, job.frac_m + 1)
+    over the _FRAC_M phase nodes; B uses the central differences of
+    `remainder`."""
+    s = np.linspace(0.0, 1.0, _FRAC_M + 1)
     fam = job.family
     c_corr = _phase_max(np.asarray(fam.eval(x, t, s), dtype=float), job.average_at(x, t), s)
 
-    if job.dgamma_dx is not None:
-        integrand, avg_d = _dgamma_integrand(job, x, t)
-        return c_corr, _phase_max(integrand(s), avg_d, s)
-
     # differentiate the phase samples and the average together: the first
-    # frac_m + 1 rows are gamma(x, t, s), the last row is its average
+    # _FRAC_M + 1 rows are gamma(x, t, s), the last row is its average
     def stacked(z):
-        return np.vstack([fam.eval(z, t, s), fam.average_at(z, t, M=job.avg_m)])
+        return np.vstack([fam.eval(z, t, s), fam.average_at(z, t, M=_AVG_M)])
 
     d = fd_jacobian(stacked, x)
     return c_corr, _phase_max(d[:-1], d[-1], s)
@@ -190,13 +171,13 @@ def sup_norms(job: CorrugationJob, points, t_values):
     return c_corr / job.N, c_rem / job.N
 
 
-def choose_N(job: CorrugationJob, points, t_values, eps, k_max=30):
+def choose_N(job: CorrugationJob, points, t_values, eps):
     """Smallest N in the sequence 2^k (k >= 0) with both sup norms at most eps.
 
     Both norms are C / N exactly (see `sup_norms`), so C is computed once, at
     N = 1, and k is read off in closed form; no trial N is evaluated.  N = 1
     when C <= eps (in particular when C = 0); BudgetExceeded when k would
-    pass k_max.
+    pass _K_MAX.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -209,6 +190,6 @@ def choose_N(job: CorrugationJob, points, t_values, eps, k_max=30):
     m, k = math.frexp(C / eps)
     if m == 0.5:
         k -= 1
-    if k > k_max:
-        raise BudgetExceeded(f"no N up to 2^{k_max} met eps={eps}: C={C:.3e} needs N=2^{k}")
+    if k > _K_MAX:
+        raise BudgetExceeded(f"no N up to 2^{_K_MAX} met eps={eps}: C={C:.3e} needs N=2^{k}")
     return 2.0**k

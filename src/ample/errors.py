@@ -26,7 +26,8 @@ class DegenerateWeights(EngineError):
 
 
 class NoConvergence(EngineError):
-    """Iteration budget exhausted; carries the best residual seen."""
+    """A solve or refinement missed its tolerance; carries the residual and
+    the value it reached."""
 
     def __init__(self, message, best_residual=None, best_value=None):
         super().__init__(message)

@@ -58,6 +58,7 @@ __all__ = [
 NEAR_CELLS = 2  # "near" a region always means this many cells of dilation
 _STEP_T = (0.5, 1.0)  # grades at which a step probes its margin and bounds its corrugation
 _SUP_STRIDE = 2  # every this-many landscape node feeds the bound on N
+_HOL_TOL = 1e-6  # holonomy residual a landscape accepts on E' near K0 and near C
 
 
 @dataclass
@@ -119,7 +120,7 @@ class AcceptsWitness:
         )
 
 
-def accepts(R: Relation, F: JetSection, S: StepLandscape, hol_tol=1e-6):
+def accepts(R: Relation, F: JetSection, S: StepLandscape):
     """Check the step preconditions on the landscape grid."""
     L = S.landscape
     formal_ok = True
@@ -145,7 +146,7 @@ def accepts(R: Relation, F: JetSection, S: StepLandscape, hol_tol=1e-6):
         margin_min=float(margin_min if formal_ok else 0.0),
         e_holonomy_residual=e_res,
         c_holonomy_residual=c_res,
-        hol_tol=hol_tol,
+        hol_tol=_HOL_TOL,
     )
 
 
@@ -273,13 +274,13 @@ def _choose_step_n(p, gamma, cutoff, points, eps):
     return N
 
 
-def improve_step(R: Relation, F: JetSection, S: StepLandscape, eps, hol_tol=1e-6):
+def improve_step(R: Relation, F: JetSection, S: StepLandscape, eps):
     """One inductive improvement: returns the corrugation homotopy making F
     E' + Rv holonomic near K0 while staying inside R, unchanged near C and
     outside K1, and moving f by at most eps."""
     L = S.landscape
     p = S.p
-    wit = accepts(R, F, S, hol_tol=hol_tol)
+    wit = accepts(R, F, S)
     if not wit.ok:
         raise MarginExceeded(f"landscape does not accept the section: {wit}")
 
@@ -320,7 +321,7 @@ def improve_step(R: Relation, F: JetSection, S: StepLandscape, eps, hol_tol=1e-6
     return Homotopy(F, S, gamma, N, cutoff, metadata=meta)
 
 
-def improve(R: Relation, F0: JetSection, L: Landscape, eps, basis=None, hol_tol=1e-6):
+def improve(R: Relation, F0: JetSection, L: Landscape, eps, basis=None):
     """Fold the inductive step over a basis of directions.
 
     Each step uses the dual pair of the next direction, improves holonomy on
@@ -336,7 +337,7 @@ def improve(R: Relation, F0: JetSection, L: Landscape, eps, basis=None, hol_tol=
     current = F0
     for i, e in enumerate(basis):
         S = StepLandscape(landscape=L, e_sub=[np.asarray(b, dtype=float) for b in basis[:i]], p=DualPair(duals[i], e))
-        hom = improve_step(R, current, S, eps / n, hol_tol=hol_tol)
+        hom = improve_step(R, current, S, eps / n)
         stages.append(hom)
         current = hom.section_at(1.0)
     return ConcatenatedHomotopy(stages)

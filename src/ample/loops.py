@@ -37,9 +37,8 @@ __all__ = [
 class Loop:
     """Period-1 loop wrapping a vectorized callable R -> F."""
 
-    def __init__(self, fn, dim=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.dim = dim
 
     def __call__(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -63,7 +62,7 @@ class LoopFamily:
         raise NotImplementedError
 
     def loop_at(self, x, t):
-        return Loop(lambda s: self.eval(x, t, s), self.dim_f)
+        return Loop(lambda s: self.eval(x, t, s))
 
     def average_at(self, x, t, M=256):
         return quad_integral(lambda s: self.eval(x, t, s), 0.0, 1.0, M)
@@ -86,14 +85,13 @@ class RoundTripFamily(LoopFamily):
     chain out and back.
     """
 
-    def __init__(self, beta, waypoints, anchor=None):
+    def __init__(self, beta, waypoints):
         beta = np.asarray(beta, dtype=float).ravel()
         pts = [beta] + [np.asarray(w, dtype=float).ravel() for w in waypoints]
         if len(pts) < 2:
             raise ValueError("need at least one waypoint")
         self.points = np.stack(pts)
         self.dim_f = beta.size
-        self.anchor = None if anchor is None else np.asarray(anchor, dtype=float)
         seg = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
         seg = np.maximum(seg, 1e-9 * (seg.sum() + 1.0))
         self.breaks = np.concatenate([[0.0], np.cumsum(seg)]) / seg.sum()
@@ -107,10 +105,6 @@ class RoundTripFamily(LoopFamily):
         loc = smoothstep((u - u0) / du)
         return self.points[k] + loc[:, None] * (self.points[k + 1] - self.points[k])
 
-    def waypoint_param(self, j):
-        """Path parameter at which waypoint j is reached."""
-        return float(self.breaks[j + 1])
-
     def eval(self, x, t, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return self.path(np.clip(t, 0.0, 1.0) * tent(s))
@@ -120,13 +114,9 @@ class TranslatedFamily(LoopFamily):
     """gamma_x^t(s) = gamma0^t(s) + beta(x) - beta(x0): one model loop carried
     over a neighbourhood by translating its base point."""
 
-    def __init__(self, gamma0, beta, x0=None):
+    def __init__(self, gamma0, beta, x0):
         self.gamma0 = gamma0
         self.beta = beta
-        if x0 is None:
-            x0 = getattr(gamma0, "anchor", None)
-        if x0 is None:
-            raise ValueError("TranslatedFamily needs the anchor point x0")
         self.x0 = np.asarray(x0, dtype=float)
         self.beta0 = np.asarray(beta(self.x0), dtype=float).ravel()
         self.dim_f = gamma0.dim_f
@@ -421,7 +411,7 @@ def surrounding_loop_at(omega_x, beta_x, g_x, box, h):
                     waypoints.extend(leg if not waypoints else leg[1:])
                     cur = b
                 waypoints = _simplify_polyline([beta_x] + waypoints)[1:]
-                fam = RoundTripFamily(beta_x, waypoints, anchor=None)
+                fam = RoundTripFamily(beta_x, waypoints)
                 # the loop must actually stay inside omega_x
                 svals = fam.eval(None, 1.0, np.linspace(0.0, 1.0, 129))
                 if all(omega_x(v) for v in svals):
@@ -538,7 +528,6 @@ def build_loop_family(omega, beta, g, K, box, eps, grid):
         if not ok:
             raise MarginExceeded("no safety radius found for the near-K loop")
         star = RoundTripFamily(np.zeros(dim_f), 0.5 * delta * _star_waypoints(dim_f))
-        star.anchor = np.zeros_like(nodes[0])
 
         class _NearK(LoopFamily):
             def __init__(self):
@@ -591,7 +580,6 @@ def build_loop_family(omega, beta, g, K, box, eps, grid):
     fam = base_fam
     for c in centers:
         res = surrounding_loop_at(omega(c), beta(c), g(c), value_box(c), value_h)
-        res.family.anchor = c
         patch = TranslatedFamily(res.family, beta, x0=c)
 
         def tau(x, _c=c):

@@ -10,7 +10,6 @@ which keeps every downstream quadrature on the well-resolved u-side.
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +29,11 @@ __all__ = [
 
 WEIGHT_FLOOR = 1e-4
 LEAK = 1e-3
-_NEWTON_TOL = 1e-8  # residual of average(gamma . phi_w) - g accepted by adjust_weights
-_NEWTON_ITERS = 50
+_SOLVE_TOL = 1e-8  # residual of average(gamma . phi_w) - g accepted by adjust_weights
 _CERTIFICATE_M = 64  # loop samples per surround certificate
 _MAX_REFINE = 2  # node-grid refinements in reparametrize_family
+_TOL_GRID = 1e-6  # node residual accepted by reparametrize_family
+_TOL_MID = 1e-4  # cell-midpoint residual accepted by reparametrize_family
 _REPARAM_CACHE = 8192  # circle maps kept per ReparametrizedFamily
 _DOT_PANELS = 512  # Simpson panels over each mollifier's support in _mollifier_dots
 
@@ -41,24 +41,35 @@ _BUMP_MASS = float(quad_integral(bump, -1.0, 1.0, 4096))
 
 
 class DeltaMollifier:
-    """Smooth periodic unit-mass bump of half-width eta at a circle point."""
+    """Smooth periodic unit-mass bumps of half-width eta at circle points.
+
+    center and eta broadcast against each other: arrays of k centres (and
+    widths) give one row of values per centre, a scalar pair gives values of
+    the shape of s.
+    """
 
     def __init__(self, center, eta):
-        if eta <= 0:
+        center, eta = np.broadcast_arrays(np.asarray(center, dtype=float) % 1.0, np.asarray(eta, dtype=float))
+        if np.any(eta <= 0):
             raise ValueError("eta must be positive")
-        self.center = float(center) % 1.0
-        self.eta = float(eta)
+        self.center = center
+        self.eta = eta
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        d = np.abs((s - self.center + 0.5) % 1.0 - 0.5)
-        return bump(d / self.eta) / (self.eta * _BUMP_MASS)
+        tail = (1,) * s.ndim
+        c = self.center.reshape(self.center.shape + tail)
+        eta = self.eta.reshape(self.eta.shape + tail)
+        d = np.abs((s - c + 0.5) % 1.0 - 0.5)
+        return bump(d / eta) / (eta * _BUMP_MASS)
 
 
-def _min_circular_gap(centers):
+def _mollifier_width(centers):
+    """Half-width eta of the mollifiers at the centres: a quarter of the
+    smallest circular gap between them."""
     c = np.sort(np.mod(np.asarray(centers, dtype=float), 1.0))
     gaps = np.diff(np.concatenate([c, [c[0] + 1.0]]))
-    return float(gaps.min())
+    return float(gaps.min()) / 4.0
 
 
 class CircleReparam:
@@ -70,7 +81,7 @@ class CircleReparam:
     monotone-interpolation start plus Newton polish.
     """
 
-    def __init__(self, density, feature=0.05):
+    def __init__(self, density, feature):
         self.density = density
         n = max(8192, int(np.ceil(120.0 / max(feature, 1e-4) / 2.0)) * 2)
         t = np.arange(n + 1) / n
@@ -116,17 +127,11 @@ class CircleReparam:
 
 
 def _mix_density(weights, centers, eta):
-    mollifiers = [DeltaMollifier(c, eta) for c in centers]
+    """The density (LEAK + sum_i w_i m_i) / (1 + LEAK) of mollifiers m_i of
+    half-width eta_i (scalar or per centre) at the centres."""
     w = np.asarray(weights, dtype=float)
-
-    def density(s):
-        s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, LEAK)
-        for wi, m in zip(w, mollifiers):
-            out = out + wi * m(s)
-        return out / (1.0 + LEAK)
-
-    return density
+    m = DeltaMollifier(centers, eta)
+    return lambda s: (LEAK + np.tensordot(w, m(s), axes=1)) / (1.0 + LEAK)
 
 
 def reparam_from_weights(weights, centers, eta=None):
@@ -141,12 +146,12 @@ def reparam_from_weights(weights, centers, eta=None):
         raise DegenerateWeights(f"weights below floor {WEIGHT_FLOOR}")
     if abs(w.sum() - 1.0) > 1e-9:
         raise DegenerateWeights("weights must sum to 1")
-    gap = _min_circular_gap(centers)
-    if gap < 1e-9:
+    width = _mollifier_width(centers)
+    if width < 1e-9 / 4.0:
         raise DegenerateWeights("centers must be distinct mod 1")
     if eta is None:
-        eta = gap / 4.0
-    return CircleReparam(_mix_density(w, centers, eta), feature=eta)
+        eta = width
+    return CircleReparam(_mix_density(w, centers, eta), eta)
 
 
 def _mollifier_dots(loop, centers, eta):
@@ -158,70 +163,26 @@ def _mollifier_dots(loop, centers, eta):
     return np.stack(out)
 
 
-def adjust_weights(gamma, g, centers, w0, eta=None):
-    """Damped Newton on the simplex making average(gamma . phi_w) = g.
+def adjust_weights(gamma, g, centers):
+    """Weights w >= WEIGHT_FLOOR summing to 1 with average(gamma . phi_w) = g.
 
-    Under the substitution identity the average is affine in w, so Newton
-    lands in one or two steps; the floor keeps weights strictly positive and
-    targets outside the hull of the sampled basis values surface as
-    NoConvergence with the best residual seen.
+    Under the substitution identity the average (w @ a + LEAK abar) / (1 + LEAK)
+    is affine in w (a_i the mollifier dots), so w solves one linear system,
+    together with sum(w) = 1; lstsq covers k = d + 1 centres and more.  A
+    weight below the floor or a residual above _SOLVE_TOL (a target outside
+    the hull of the a_i) raises NoConvergence carrying w.
     """
     g = np.asarray(g, dtype=float).ravel()
     centers = np.asarray(centers, dtype=float)
-    k = len(centers)
-    gap = _min_circular_gap(centers)
-    if eta is None:
-        eta = gap / 4.0
-
-    a = _mollifier_dots(gamma, centers, eta)  # (k, d)
+    a = _mollifier_dots(gamma, centers, _mollifier_width(centers))  # (k, d)
     abar = average(gamma, 2048)
-
-    def project(w):
-        w = np.maximum(w, WEIGHT_FLOOR)
-        excess = w.sum() - 1.0
-        slack = w - WEIGHT_FLOOR
-        total = slack.sum()
-        if total <= 0:
-            raise DegenerateWeights("floor infeasible for this many centers")
-        return w - excess * slack / total
-
-    def residual(w):
-        return (w @ a + LEAK * abar) / (1.0 + LEAK) - g
-
-    w = project(np.asarray(w0, dtype=float))
-    r = residual(w)
-    best = (float(np.linalg.norm(r)), w.copy())
-    J = np.vstack([a.T / (1.0 + LEAK), np.ones(k)])
-    for _ in range(_NEWTON_ITERS):
-        if np.linalg.norm(r) <= _NEWTON_TOL * 0.25:
-            return w
-        rhs = np.append(-r, 0.0)
-        try:
-            delta = np.linalg.solve(J, rhs) if J.shape[0] == J.shape[1] else None
-        except np.linalg.LinAlgError:
-            delta = None
-        if delta is None:
-            delta, *_ = np.linalg.lstsq(J, rhs, rcond=None)
-        step = 1.0
-        improved = False
-        for _ in range(12):
-            wn = project(w + step * delta)
-            rn = residual(wn)
-            if np.linalg.norm(rn) < np.linalg.norm(r):
-                w, r = wn, rn
-                improved = True
-                break
-            step *= 0.5
-        if np.linalg.norm(r) < best[0]:
-            best = (float(np.linalg.norm(r)), w.copy())
-        if not improved:
-            break
-    if best[0] <= _NEWTON_TOL:
-        return best[1]
+    J = np.vstack([a.T / (1.0 + LEAK), np.ones(len(centers))])
+    w = np.linalg.lstsq(J, np.append(g - LEAK * abar / (1.0 + LEAK), 1.0), rcond=None)[0]
+    res = float(np.linalg.norm((w @ a + LEAK * abar) / (1.0 + LEAK) - g))
+    if w.min() >= WEIGHT_FLOOR and res <= _SOLVE_TOL:
+        return w
     raise NoConvergence(
-        f"average residual {best[0]:.3e} after {_NEWTON_ITERS} iterations",
-        best_residual=best[0],
-        best_value=best[1],
+        f"weights {w} (floor {WEIGHT_FLOOR}), average residual {res:.3e}", best_residual=res, best_value=w
     )
 
 
@@ -229,29 +190,19 @@ def adjust_weights(gamma, g, centers, w0, eta=None):
 # families of reparametrisations over a grid
 
 
-@dataclass
-class _NodeDensity:
-    weights: np.ndarray
-    centers: np.ndarray
-    eta: float
-
-    def density(self):
-        return _mix_density(self.weights, self.centers, self.eta)
-
-
 class DensityField:
     """Smoothly blended field of node densities over a tensor grid.
 
+    nodes holds one (weights, centers, eta) per grid node in flat order.
     Between nodes the densities themselves are mixed with smoothstep weights
     per axis, so the resulting family of circle maps is smooth in x and exact
     at the nodes.
     """
 
-    def __init__(self, grid, node_densities):
+    def __init__(self, grid, nodes):
         self.grid = grid
-        self.nodes = list(node_densities)
-        self._fns = [nd.density() for nd in self.nodes]
-        self.eta_min = min(nd.eta for nd in self.nodes)
+        self.nodes = list(nodes)
+        self.eta_min = min(eta for _, _, eta in self.nodes)
 
     def _corners(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -285,16 +236,16 @@ class DensityField:
         return out
 
     def density_at(self, x):
-        corners = self._corners(x)
-
-        def density(s):
-            s = np.asarray(s, dtype=float)
-            out = np.zeros(s.shape)
-            for flat, wt in corners:
-                out = out + wt * self._fns[flat](s)
-            return out
-
-        return density
+        """One mollifier sum over the corner nodes' centres, each node's
+        weights scaled by its corner weight; the corner weights sum to 1, so
+        the leak is that of a single node."""
+        w, centers, eta = [], [], []
+        for flat, wt in self._corners(x):
+            wn, cn, en = self.nodes[flat]
+            w.append(wt * wn)
+            centers.append(cn)
+            eta.append(np.full(len(cn), en))
+        return _mix_density(np.concatenate(w), np.concatenate(centers), np.concatenate(eta))
 
 
 class ReparametrizedFamily(LoopFamily):
@@ -319,7 +270,7 @@ class ReparametrizedFamily(LoopFamily):
         if hit is not None:
             self._cache.move_to_end(key)
             return hit
-        rp = CircleReparam(self.field.density_at(x), feature=self.field.eta_min)
+        rp = CircleReparam(self.field.density_at(x), self.field.eta_min)
         self._cache[key] = rp
         if len(self._cache) > _REPARAM_CACHE:
             self._cache.popitem(last=False)
@@ -345,27 +296,23 @@ class ReparametrizedFamily(LoopFamily):
         return self.integral_over(x, t, 0.0, 1.0, M=M)
 
 
-def reparametrize_family(family, g, grid, tol_grid=1e-6, tol_mid=1e-4):
+def reparametrize_family(family, g, grid):
     """Reparametrise a surrounding family so t=1 averages equal g at the nodes.
 
     Per node: sample a surround certificate, solve for weights, build a
-    mollifier density.  Between nodes densities are blended smoothly; cell
-    midpoints are checked against tol_mid and the node grid is refined when
-    the blend drifts too far.
+    mollifier density.  Between nodes densities are blended smoothly; nodes
+    are checked against _TOL_GRID, cell midpoints against _TOL_MID, and the
+    node grid is refined when the blend drifts too far.
     """
     work = grid
     for attempt in range(_MAX_REFINE + 1):
-        node_densities = []
+        nodes = []
         for x in work.nodes():
             gx = np.asarray(g(x), dtype=float).ravel()
             loop = family.loop_at(x, 1.0)
-            centers, coords, _pts = surround_certificate(loop, gx, M=_CERTIFICATE_M)
-            w0 = np.maximum(coords, WEIGHT_FLOOR)
-            w0 = w0 / w0.sum()
-            eta = _min_circular_gap(centers) / 4.0
-            w = adjust_weights(loop, gx, centers, w0, eta=eta)
-            node_densities.append(_NodeDensity(np.asarray(w), np.asarray(centers), eta))
-        field = DensityField(work, node_densities)
+            centers, _coords, _pts = surround_certificate(loop, gx, M=_CERTIFICATE_M)
+            nodes.append((adjust_weights(loop, gx, centers), centers, _mollifier_width(centers)))
+        field = DensityField(work, nodes)
         fam = ReparametrizedFamily(family, field)
 
         worst_node = 0.0
@@ -377,7 +324,7 @@ def reparametrize_family(family, g, grid, tol_grid=1e-6, tol_mid=1e-4):
         for x in mids:
             r = np.linalg.norm(fam.average_at(x, 1.0) - np.asarray(g(x), dtype=float).ravel())
             worst_mid = max(worst_mid, float(r))
-        if worst_node <= tol_grid and worst_mid <= tol_mid:
+        if worst_node <= _TOL_GRID and worst_mid <= _TOL_MID:
             return fam
         if attempt == _MAX_REFINE:
             raise NoConvergence(

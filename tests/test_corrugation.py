@@ -126,20 +126,6 @@ class TestRemainder:
         job = CorrugationJob(pair2(), 4.0, ScaledCircleFamily())
         assert np.linalg.norm(remainder(job, [0.0, 1.0], 0.5)) <= 1e-14
 
-    def test_analytic_derivative_path(self):
-        def dgamma(x, t, s):
-            s = np.atleast_1d(s)
-            ring = np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)], axis=-1)
-            out = np.zeros((len(s), 2, 2))
-            out[:, :, 0] = ring
-            return out
-
-        fam = ScaledCircleFamily()
-        job_fd = CorrugationJob(pair2(), 4.0, fam)
-        job_an = CorrugationJob(pair2(), 4.0, fam, dgamma_dx=dgamma)
-        x = np.array([0.29, 0.7])
-        assert np.linalg.norm(remainder(job_fd, x, 0.1) - remainder(job_an, x, 0.1)) <= 1e-8
-
 
 def fd_corrugation_jacobian(job, x, t, h=1e-5):
     x = np.asarray(x, dtype=float)
@@ -231,4 +217,4 @@ class TestChooseN:
 
         job = CorrugationJob(DualPair(pi=[1.0], v=[1.0]), 1.0, Unbounded())
         with pytest.raises(BudgetExceeded):
-            choose_N(job, [np.array([0.31])], [1.0], eps=1e-12, k_max=4)
+            choose_N(job, [np.array([0.31])], [1.0], eps=1e-12)

@@ -26,7 +26,7 @@ def circle_loop(center=(0.0, 0.0), radius=1.0):
         s = np.atleast_1d(s)
         return c + radius * np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)], axis=-1)
 
-    return Loop(fn, 2)
+    return Loop(fn)
 
 
 class TestAverage:
@@ -120,24 +120,21 @@ class TestTranslate:
 
     def test_zero_translation_identity(self):
         res = self.make_result()
-        res.family.anchor = np.array([0.0])
-        fam = TranslatedFamily(res.family, lambda x: np.array([1.0, 0.0]))
+        fam = TranslatedFamily(res.family, lambda x: np.array([1.0, 0.0]), np.array([0.0]))
         s = np.linspace(0, 1, 17)
         assert np.allclose(fam.eval(np.array([0.7]), 1.0, s), res.family.eval(None, 1.0, s))
 
     def test_base_point_follows_beta(self):
         res = self.make_result()
-        res.family.anchor = np.array([0.0])
         beta = lambda x: np.array([1.0 + 0.2 * x[0], 0.1 * x[0]])
-        fam = TranslatedFamily(res.family, beta)
+        fam = TranslatedFamily(res.family, beta, np.array([0.0]))
         x = np.array([0.5])
         assert np.allclose(fam.eval(x, 0.6, np.array([0.0]))[0], beta(x), atol=1e-12)
 
     def test_surround_persists_nearby(self):
         res = self.make_result()
-        res.family.anchor = np.array([0.0])
         beta = lambda x: np.array([1.0 + 0.05 * x[0], 0.05 * x[0]])
-        fam = TranslatedFamily(res.family, beta)
+        fam = TranslatedFamily(res.family, beta, np.array([0.0]))
         for xv in (-0.5, 0.25, 0.9):
             loop = fam.loop_at(np.array([xv]), 1.0)
             s, coords, pts = surround_certificate(loop, [0.0, 0.0], M=64)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ample import loops, reparam
 from ample.errors import DegenerateWeights, NoConvergence
+from ample.grids import box_grid
 from ample.loops import Loop, average
 from ample.reparam import (
     CircleReparam,
     DeltaMollifier,
+    DensityField,
     adjust_weights,
     reparam_from_weights,
     reparametrize_family,
@@ -21,7 +25,7 @@ def circle_loop(center=(0.0, 0.0), radius=1.0):
         s = np.atleast_1d(s)
         return c + radius * np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)], axis=-1)
 
-    return Loop(fn, 2)
+    return Loop(fn)
 
 
 def subst_average(loop, rp, M=32768):
@@ -49,6 +53,22 @@ class TestMollifier:
     def test_wraps_around(self):
         m = DeltaMollifier(0.01, 0.05)
         assert m(np.array([0.99]))[0] > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        centers=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+        etas=st.lists(st.floats(1e-3, 0.5), min_size=6, max_size=6),
+        s=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=40),
+    )
+    def test_array_centres_stack_scalar_calls(self, centers, etas, s):
+        s = np.array(s)
+        etas = etas[: len(centers)]
+        rows = DeltaMollifier(np.array(centers), np.array(etas))(s)
+        want = np.stack([DeltaMollifier(c, e)(s) for c, e in zip(centers, etas)])
+        assert rows.shape == want.shape and np.array_equal(rows, want)
+        # one width broadcast over every centre
+        rows = DeltaMollifier(np.array(centers), etas[0])(s)
+        assert np.array_equal(rows, np.stack([DeltaMollifier(c, etas[0])(s) for c in centers]))
 
     def test_dirac_rate(self):
         # oracle: int m f -> f(center) at second order in the width
@@ -92,47 +112,64 @@ class TestReparamFromWeights:
             reparam_from_weights([0.5, 0.5], [0.3, 0.3])
 
 
+def assert_feasible(lp, g, centers, w):
+    """w lies on the floored simplex and reparametrises lp to average g."""
+    assert w.min() >= reparam.WEIGHT_FLOOR
+    assert abs(float(w.sum()) - 1.0) <= 1e-12
+    rp = reparam_from_weights(w, centers)
+    assert np.linalg.norm(subst_average(lp, rp) - g) <= 1e-8
+    assert abs(float(rp.phi(0.0))) <= 1e-9
+
+
 class TestAdjustWeights:
-    def test_constant_loop_returns_w0(self):
+    def test_constant_loop_feasible(self):
         g = np.array([1.5, -0.5])
         lp = Loop(lambda s: np.tile(g, (len(np.atleast_1d(s)), 1)))
-        w0 = np.array([0.4, 0.3, 0.3])
-        w = adjust_weights(lp, g, [0.0, 0.33, 0.71], w0)
-        assert np.allclose(w, w0, atol=1e-9)
+        centers = [0.0, 0.33, 0.71]
+        assert_feasible(lp, g, centers, adjust_weights(lp, g, centers))
 
     def test_circle_quarters(self):
         lp = circle_loop()
-        w = adjust_weights(lp, [0.0, 0.0], [0.0, 0.25, 0.5, 0.75], np.full(4, 0.25))
+        w = adjust_weights(lp, [0.0, 0.0], [0.0, 0.25, 0.5, 0.75])
         rp = reparam_from_weights(w, [0.0, 0.25, 0.5, 0.75])
         assert np.linalg.norm(subst_average(lp, rp)) <= 1e-8
 
-    def test_offcenter_target(self):
+    @settings(max_examples=25, deadline=None)
+    @given(radius=st.floats(0.0, 0.998), angle=st.floats(0.0, 1.0))
+    @example(radius=np.hypot(0.2, -0.1), angle=np.arctan2(-0.1, 0.2) / (2 * np.pi) + 1.0)
+    # just inside the chord of the 64 samples at angle 0 and 1/64: the
+    # mollified basis no longer surrounds g, so a weight must drop below 0
+    @example(radius=np.cos(np.pi / 64) - 1e-6, angle=1.0 / 128)
+    def test_offcenter_target(self, radius, angle):
         lp = circle_loop()
-        g = np.array([0.2, -0.1])
-        centers, coords, _ = loops.surround_certificate(lp, g, M=64)
-        w0 = np.maximum(coords, 1e-4)
-        w0 /= w0.sum()
-        w = adjust_weights(lp, g, centers, w0)
-        rp = reparam_from_weights(w, centers)
-        assert np.linalg.norm(subst_average(lp, rp) - g) <= 1e-8
-        assert abs(float(rp.phi(0.0))) <= 1e-9
+        g = radius * np.array([np.cos(2 * np.pi * angle), np.sin(2 * np.pi * angle)])
+        centers, _coords, _ = loops.surround_certificate(lp, g, M=64)
+        try:
+            w = adjust_weights(lp, g, centers)
+        except NoConvergence as err:
+            # the exact solution of the affine system, carried with its residual
+            w = err.best_value
+            assert w.min() < reparam.WEIGHT_FLOOR
+            assert abs(float(w.sum()) - 1.0) <= 1e-12 and err.best_residual <= 1e-8
+            return
+        assert_feasible(lp, g, centers, w)
 
     def test_infeasible_target(self):
         lp = circle_loop()
         with pytest.raises(NoConvergence):
-            adjust_weights(lp, [5.0, 0.0], [0.0, 0.25, 0.5, 0.75], np.full(4, 0.25))
+            adjust_weights(lp, [5.0, 0.0], [0.0, 0.25, 0.5, 0.75])
 
     def test_jacobian_matches_finite_differences(self):
         # the average is affine in the weights; compare the solver's linear
         # model against finite differences along simplex directions
         lp = circle_loop(center=(0.3, 0.1))
         centers = np.array([0.05, 0.3, 0.62])
-        eta = reparam._min_circular_gap(centers) / 4.0
+        eta = reparam._mollifier_width(centers)
         a = reparam._mollifier_dots(lp, centers, eta)
         abar = average(lp, 2048)
 
         def avg_of(w):
-            rp = CircleReparam(reparam._mix_density(w, centers, eta), feature=eta)
+            rp = CircleReparam(reparam._mix_density(w, centers, eta), eta)
             return subst_average(lp, rp)
 
         h = 1e-4
@@ -149,8 +186,8 @@ class TestAdjustWeights:
 
         lp = circle_loop()
         g = np.array([0.1, 0.25])
-        centers, coords, _ = loops.surround_certificate(lp, g, M=64)
-        w = adjust_weights(lp, g, centers, np.maximum(coords, 1e-4) / np.maximum(coords, 1e-4).sum())
+        centers, _coords, _ = loops.surround_certificate(lp, g, M=64)
+        w = adjust_weights(lp, g, centers)
         rp = reparam_from_weights(w, centers)
         avg = subst_average(lp, rp)
         samples = lp(np.arange(64) / 64)
@@ -160,6 +197,27 @@ class TestAdjustWeights:
         A = np.vstack([samples.T, np.full(len(samples), scale)])
         _, rnorm = nnls(A, np.append(avg, scale))
         assert rnorm <= 1e-9 * scale
+
+
+class TestDensityField:
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_matches_blend_of_node_densities(self, dim, data):
+        cells = data.draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim))
+        grid = box_grid([0.0] * dim, [1.0] * dim, cells, periodic=(True,) * dim)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        nodes = []
+        for _ in grid.nodes():
+            k = int(rng.integers(1, 5))
+            w = rng.uniform(0.1, 1.0, k)
+            nodes.append((w / w.sum(), rng.uniform(0.0, 1.0, k), float(rng.uniform(0.01, 0.2))))
+        field = DensityField(grid, nodes)
+        x = np.array(data.draw(st.lists(st.floats(-1.0, 2.0), min_size=dim, max_size=dim)))
+        s = np.linspace(-0.5, 1.5, 801)
+        # oracle: each corner node's own density, blended by the corner weights
+        want = sum(wt * reparam._mix_density(*nodes[flat])(s) for flat, wt in field._corners(x))
+        got = field.density_at(x)(s)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 class TranslatedCircleFamily(loops.LoopFamily):
