@@ -18,7 +18,6 @@ __all__ = [
     "relation_slice",
     "fd_jacobian",
     "holonomy_residual",
-    "is_holonomic_at",
     "psi_project",
     "parametric_relation",
     "bar_family",
@@ -173,13 +172,6 @@ def holonomy_residual(F: JetSection, x, basis):
         r = np.linalg.norm((D - P) @ u) / (1.0 + np.linalg.norm(u))
         worst = max(worst, r)
     return worst
-
-
-def is_holonomic_at(F: JetSection, x, basis, tol):
-    """True iff the section's phi matches Df along every basis direction, to tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return holonomy_residual(F, x, basis) <= tol
 
 
 def psi_project(sigma_bar: OneJet, dim_e: int):

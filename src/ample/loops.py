@@ -30,7 +30,6 @@ __all__ = [
     "glue_families",
     "surround_certificate",
     "build_loop_family",
-    "verify_family",
 ]
 
 
@@ -478,7 +477,7 @@ def build_loop_family(omega, beta, g, K, box, eps, grid):
 
     At every x the loops live in omega(x), are based at beta(x), degenerate to
     the base when t = 0 or s = 0 or x is near K, and at t = 1 average exactly
-    to g(x) at the grid nodes.  Requires g = beta near K and g(x) inside the
+    to g(x) at every x.  Requires g = beta near K and g(x) inside the
     hull of the component of omega(x) containing beta(x).
 
     Construction: a small star loop around the base near K (its size set by a
@@ -599,35 +598,3 @@ def build_loop_family(omega, beta, g, K, box, eps, grid):
     if have_k:
         fam = BlendedFamily(beta, fam, chi)
     return fam
-
-
-def verify_family(family, omega, beta, g, grid, K=None, t_count=9, s_count=65, avg_m=256):
-    """Residual report for the three loop-family guarantees on a grid."""
-    t_vals = np.linspace(0.0, 1.0, t_count)
-    s_vals = np.linspace(0.0, 1.0, s_count)
-    base_res = 0.0
-    member_ok = True
-    avg_res = 0.0
-    near_res = 0.0
-    near = K.dilate(2) if K is not None and not K.is_empty else None
-    for x in grid.nodes():
-        b = np.asarray(beta(x), dtype=float).ravel()
-        pred = omega(x)
-        for t in t_vals:
-            vals = family.eval(x, t, s_vals)
-            member_ok = member_ok and all(pred(v) for v in vals)
-            base_res = max(base_res, float(np.linalg.norm(vals[0] - b)))
-            if near is not None and near.contains(x):
-                near_res = max(near_res, float(np.max(np.linalg.norm(vals - b, axis=1))))
-        vals0 = family.eval(x, 0.0, s_vals)
-        base_res = max(base_res, float(np.max(np.linalg.norm(vals0 - b, axis=1))))
-        avg_res = max(
-            avg_res,
-            float(np.linalg.norm(family.average_at(x, 1.0, M=avg_m) - np.asarray(g(x), dtype=float))),
-        )
-    return {
-        "membership_ok": member_ok,
-        "base_point_residual": base_res,
-        "average_residual": avg_res,
-        "near_k_residual": near_res,
-    }

@@ -31,9 +31,6 @@ WEIGHT_FLOOR = 1e-4
 LEAK = 1e-3
 _SOLVE_TOL = 1e-8  # residual of average(gamma . phi_w) - g accepted by adjust_weights
 _CERTIFICATE_M = 64  # loop samples per surround certificate
-_MAX_REFINE = 2  # node-grid refinements in reparametrize_family
-_TOL_GRID = 1e-6  # node residual accepted by reparametrize_family
-_TOL_MID = 1e-4  # cell-midpoint residual accepted by reparametrize_family
 _REPARAM_CACHE = 8192  # circle maps kept per ReparametrizedFamily
 _DOT_PANELS = 512  # Simpson panels over each mollifier's support in _mollifier_dots
 
@@ -191,18 +188,23 @@ def adjust_weights(gamma, g, centers):
 
 
 class DensityField:
-    """Smoothly blended field of node densities over a tensor grid.
+    """Smoothly blended field of centring densities over a tensor grid.
 
-    nodes holds one (weights, centers, eta) per grid node in flat order.
-    Between nodes the densities themselves are mixed with smoothstep weights
-    per axis, so the resulting family of circle maps is smooth in x and exact
-    at the nodes.
+    centers holds one array of loop parameters per grid node in flat order
+    (the node's surround certificate), each mollified at its own width.  At
+    any x every corner node's weights are solved for the loop at x and the
+    target g(x), so each corner density averages that loop to g(x) exactly;
+    the smoothstep corner weights are a partition of unity, and the average
+    is affine in the density, so their blend does too.
     """
 
-    def __init__(self, grid, nodes):
+    def __init__(self, grid, family, g, centers):
         self.grid = grid
-        self.nodes = list(nodes)
-        self.eta_min = min(eta for _, _, eta in self.nodes)
+        self.family = family
+        self.g = g
+        self.centers = list(centers)
+        self.etas = [_mollifier_width(c) for c in self.centers]
+        self.eta_min = min(self.etas)
 
     def _corners(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -237,14 +239,16 @@ class DensityField:
 
     def density_at(self, x):
         """One mollifier sum over the corner nodes' centres, each node's
-        weights scaled by its corner weight; the corner weights sum to 1, so
-        the leak is that of a single node."""
+        weights solved at x and scaled by its corner weight; the corner
+        weights sum to 1, so the leak is that of a single node."""
+        loop = self.family.loop_at(x, 1.0)
+        gx = np.asarray(self.g(x), dtype=float).ravel()
         w, centers, eta = [], [], []
         for flat, wt in self._corners(x):
-            wn, cn, en = self.nodes[flat]
-            w.append(wt * wn)
+            cn = self.centers[flat]
+            w.append(wt * adjust_weights(loop, gx, cn))
             centers.append(cn)
-            eta.append(np.full(len(cn), en))
+            eta.append(np.full(len(cn), self.etas[flat]))
         return _mix_density(np.concatenate(w), np.concatenate(centers), np.concatenate(eta))
 
 
@@ -297,65 +301,32 @@ class ReparametrizedFamily(LoopFamily):
 
 
 def reparametrize_family(family, g, grid):
-    """Reparametrise a surrounding family so t=1 averages equal g at the nodes.
+    """Reparametrise a surrounding family so its t=1 averages equal g at every x.
 
-    Per node: sample a surround certificate, solve for weights, build a
-    mollifier density.  Between nodes densities are blended smoothly; nodes
-    are checked against _TOL_GRID, cell midpoints against _TOL_MID, and the
-    node grid is refined when the blend drifts too far.
+    Each node keeps the centres of a surround certificate of its t=1 loop.
+    Those centres serve every cell the node is a corner of, so they are
+    checked by a weight solve at every node of the node's 3^d neighbourhood;
+    a failed solve raises NoConvergence naming both nodes and carrying the
+    weights and residual.
     """
-    work = grid
-    for attempt in range(_MAX_REFINE + 1):
-        nodes = []
-        for x in work.nodes():
-            gx = np.asarray(g(x), dtype=float).ravel()
-            loop = family.loop_at(x, 1.0)
-            centers, _coords, _pts = surround_certificate(loop, gx, M=_CERTIFICATE_M)
-            nodes.append((adjust_weights(loop, gx, centers), centers, _mollifier_width(centers)))
-        field = DensityField(work, nodes)
-        fam = ReparametrizedFamily(family, field)
-
-        worst_node = 0.0
-        for x in work.nodes():
-            r = np.linalg.norm(fam.average_at(x, 1.0) - np.asarray(g(x), dtype=float).ravel())
-            worst_node = max(worst_node, float(r))
-        mids = _cell_midpoints(work)
-        worst_mid = 0.0
-        for x in mids:
-            r = np.linalg.norm(fam.average_at(x, 1.0) - np.asarray(g(x), dtype=float).ravel())
-            worst_mid = max(worst_mid, float(r))
-        if worst_node <= _TOL_GRID and worst_mid <= _TOL_MID:
-            return fam
-        if attempt == _MAX_REFINE:
-            raise NoConvergence(
-                f"reparametrised averages off grid: node {worst_node:.2e}, mid {worst_mid:.2e}",
-                best_residual=max(worst_node, worst_mid),
-            )
-        work = _refine_grid(work)
-    raise AssertionError("unreachable")
-
-
-def _cell_midpoints(grid):
-    axes = []
-    for i in range(grid.dim):
-        a = grid.axes[i]
-        if grid.periodic[i]:
-            axes.append(a + grid.spacing[i] / 2.0)
-        else:
-            axes.append((a[:-1] + a[1:]) / 2.0 if len(a) > 1 else a)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _refine_grid(grid):
-    from .grids import Grid
-
-    axes = []
-    for i in range(grid.dim):
-        a = grid.axes[i]
-        h = grid.spacing[i]
-        if grid.periodic[i]:
-            axes.append(np.sort(np.concatenate([a, a + h / 2.0])))
-        else:
-            axes.append(np.sort(np.concatenate([a, (a[:-1] + a[1:]) / 2.0])) if len(a) > 1 else a)
-    return Grid(axes, grid.periodic)
+    nodes = grid.nodes()
+    loops = [family.loop_at(x, 1.0) for x in nodes]
+    targets = [np.asarray(g(x), dtype=float).ravel() for x in nodes]
+    centers = [surround_certificate(lp, gx, M=_CERTIFICATE_M)[0] for lp, gx in zip(loops, targets)]
+    # flat node indices padded by one node per axis: wrapped on periodic
+    # axes, repeated at the ends of the others
+    flat = np.arange(len(nodes)).reshape(grid.shape)
+    for ax in range(grid.dim):
+        pad = [(1, 1) if i == ax else (0, 0) for i in range(grid.dim)]
+        flat = np.pad(flat, pad, mode="wrap" if grid.periodic[ax] else "edge")
+    for j, idx in enumerate(itertools.product(*map(range, grid.shape))):
+        for i in np.unique(flat[tuple(slice(k, k + 3) for k in idx)]):
+            try:
+                adjust_weights(loops[j], targets[j], centers[i])
+            except NoConvergence as err:
+                raise NoConvergence(
+                    f"centres of node {nodes[i]} at neighbour {nodes[j]}: {err}",
+                    best_residual=err.best_residual,
+                    best_value=err.best_value,
+                ) from err
+    return ReparametrizedFamily(family, DensityField(grid, family, g, centers))

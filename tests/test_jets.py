@@ -9,7 +9,7 @@ from ample.jets import (
     OneJet,
     Relation,
     bar_family,
-    is_holonomic_at,
+    holonomy_residual,
     parametric_relation,
     psi_project,
     relation_slice,
@@ -106,18 +106,18 @@ class TestHolonomy:
     def test_linear_exact(self):
         A = np.array([[1.0, 2.0], [0.5, -1.0]])
         F = JetSection(f=lambda x: A @ x, phi=lambda x: A)
-        assert is_holonomic_at(F, [0.3, -0.7], list(np.eye(2)), tol=1e-8)
+        assert holonomy_residual(F, [0.3, -0.7], list(np.eye(2))) <= 1e-8
 
     def test_mismatch(self):
         F = JetSection(f=lambda x: x.copy(), phi=lambda x: np.zeros((1, 1)))
-        assert not is_holonomic_at(F, [0.5], [np.array([1.0])], tol=1e-3)
+        assert holonomy_residual(F, [0.5], [np.array([1.0])]) > 1e-3
 
     def test_quadratic_fd(self):
         F = JetSection(
             f=lambda x: np.array([x[0] ** 2, x[1]]),
             phi=lambda x: np.diag([2.0 * x[0], 1.0]),
         )
-        assert is_holonomic_at(F, [1.0, 1.0], list(np.eye(2)), tol=1e-6)
+        assert holonomy_residual(F, [1.0, 1.0], list(np.eye(2))) <= 1e-6
 
     def test_analytic_derivative_preferred(self):
         F = JetSection(
@@ -125,7 +125,7 @@ class TestHolonomy:
             phi=lambda x: np.array([[np.cos(x[0])]]),
             df=lambda x: np.array([[np.cos(x[0])]]),
         )
-        assert is_holonomic_at(F, [0.4], [np.array([1.0])], tol=1e-14)
+        assert holonomy_residual(F, [0.4], [np.array([1.0])]) <= 1e-14
 
 
 class TestPsiProject:
@@ -197,7 +197,7 @@ class TestBarFamily:
         bar = bar_family(fam)
         xp = np.array([0.2, -0.4])
         assert np.allclose(bar.phi(xp), np.array([[1.0, 1.0]]), atol=1e-9)
-        assert is_holonomic_at(bar, xp, list(np.eye(2)), tol=1e-7)
+        assert holonomy_residual(bar, xp, list(np.eye(2))) <= 1e-7
 
     def test_holonomy_equivalence_sampled(self):
         # holonomic in the lift exactly when the slice family is holonomic
@@ -211,8 +211,8 @@ class TestBarFamily:
         for pv, expect in [(0.0, True), (0.5, False)]:
             xp = np.array([0.3, pv])
             sec = fam.section_at(np.array([pv]))
-            assert is_holonomic_at(sec, [0.3], [np.array([1.0])], tol=1e-5) == expect
-            assert is_holonomic_at(bar, xp, list(np.eye(2)), tol=1e-5) == expect
+            assert (holonomy_residual(sec, [0.3], [np.array([1.0])]) <= 1e-5) == expect
+            assert (holonomy_residual(bar, xp, list(np.eye(2))) <= 1e-5) == expect
 
     def test_projection_roundtrip(self):
         def ev(p, x):

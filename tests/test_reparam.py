@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,34 +208,57 @@ class TestDensityField:
         cells = data.draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim))
         grid = box_grid([0.0] * dim, [1.0] * dim, cells, periodic=(True,) * dim)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        nodes = []
-        for _ in grid.nodes():
-            k = int(rng.integers(1, 5))
-            w = rng.uniform(0.1, 1.0, k)
-            nodes.append((w / w.sum(), rng.uniform(0.0, 1.0, k), float(rng.uniform(0.01, 0.2))))
-        field = DensityField(grid, nodes)
+        # jittered thirds of the circle: every node's centres surround the
+        # target, which stays within 0.1 of the loop's centre
+        centers = [rng.uniform() + np.arange(3) / 3 + rng.uniform(-0.05, 0.05, 3) for _ in grid.nodes()]
+        fam = TranslatedCircleFamily()
+        g = lambda x: fam.center(x) + 0.1 * np.array([np.cos(2 * np.pi * x.sum()), np.sin(2 * np.pi * x.sum())])
+        field = DensityField(grid, fam, g, centers)
         x = np.array(data.draw(st.lists(st.floats(-1.0, 2.0), min_size=dim, max_size=dim)))
         s = np.linspace(-0.5, 1.5, 801)
-        # oracle: each corner node's own density, blended by the corner weights
-        want = sum(wt * reparam._mix_density(*nodes[flat])(s) for flat, wt in field._corners(x))
+        # oracle: each corner node's own density with weights solved at x,
+        # blended by the corner weights
+        want = 0.0
+        for flat, wt in field._corners(x):
+            c = centers[flat]
+            w = adjust_weights(fam.loop_at(x, 1.0), g(x), c)
+            want = want + wt * reparam._mix_density(w, c, reparam._mollifier_width(c))(s)
         got = field.density_at(x)(s)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 class TranslatedCircleFamily(loops.LoopFamily):
-    """gamma_x = circle centered at c(x): average is c(x), surrounds c(x)."""
+    """gamma_x = unit circle centered at c(x): average is c(x), surrounds c(x).
+    Axes after the first move the centre along the second coordinate."""
 
     def __init__(self):
         self.dim_f = 2
 
     def center(self, x):
         x = np.atleast_1d(x)
-        return np.array([0.5 * np.sin(2 * np.pi * x[0]), 0.25 * np.cos(2 * np.pi * x[0])])
+        u = 2 * np.pi * x[0]
+        return np.array([0.5 * np.sin(u), 0.25 * np.cos(u) + 0.2 * np.sin(2 * np.pi * x[1:]).sum()])
 
     def eval(self, x, t, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         ring = np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)], axis=-1)
         return self.center(x) + float(np.clip(t, 0, 1)) * ring
+
+
+@functools.cache
+def exact_family(dim):
+    """(g, reparametrised TranslatedCircleFamily) on a periodic grid of 16
+    cells along x0 (and 4 along x1); g turns once about the loop's centre
+    along x0 and its distance from it follows x1."""
+    fam = TranslatedCircleFamily()
+
+    def g(x):
+        u = 2 * np.pi * x[0]
+        r = 0.08 + 0.03 * np.sin(2 * np.pi * x[1:]).sum()
+        return fam.center(x) + r * np.array([np.cos(u), np.sin(u)])
+
+    grid = box_grid([0.0] * dim, [1.0] * dim, [16, 4][:dim], periodic=(True,) * dim)
+    return g, reparametrize_family(fam, g, grid)
 
 
 class TestReparametrizeFamily:
@@ -267,12 +292,27 @@ class TestReparametrizeFamily:
             v = out.eval(x, t, np.array([0.0]))[0]
             assert np.linalg.norm(v - fam.eval(x, t, np.array([0.0]))[0]) <= 1e-9
 
-    def test_midpoint_drift_bounded(self):
+    @settings(max_examples=25, deadline=None)
+    @given(x=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    def test_average_exact_off_grid(self, x):
+        # on a 1-D and a 2-D periodic grid; the weights move with x as the
+        # target turns about the loop's centre and changes its distance
+        for dim in (1, 2):
+            g, fam = exact_family(dim)
+            xd = np.array(x[:dim])
+            assert np.linalg.norm(fam.average_at(xd, 1.0) - g(xd)) <= 1e-8
+
+    def test_coarse_grid_raises_at_build(self):
+        # the target turns half a revolution per cell, so a node's
+        # certificate no longer surrounds the target at the neighbouring nodes
         fam = TranslatedCircleFamily()
-        g = lambda x: fam.center(x) + np.array([0.1, 0.0])
-        out = reparametrize_family(fam, g, self.grid())
-        for xm in reparam._cell_midpoints(self.grid()):
-            assert np.linalg.norm(out.average_at(xm, 1.0) - g(xm)) <= 1e-4
+        g = lambda x: fam.center(x) + 0.8 * np.array([np.cos(4 * np.pi * x[0]), np.sin(4 * np.pi * x[0])])
+        grid = box_grid([0.0], [1.0], [4], periodic=(True,))
+        with pytest.raises(NoConvergence) as info:
+            reparametrize_family(fam, g, grid)
+        w = info.value.best_value
+        assert w.min() < reparam.WEIGHT_FLOOR and abs(float(w.sum()) - 1.0) <= 1e-12
+        assert any(f"centres of node {x} at neighbour" in str(info.value) for x in grid.nodes())
 
     def test_direct_and_substitution_agree(self):
         fam = TranslatedCircleFamily()
