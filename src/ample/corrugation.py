@@ -30,7 +30,6 @@ from .smooth import cumulative_simpson
 __all__ = [
     "CorrugationJob",
     "corrugation",
-    "corrugation_direct",
     "remainder",
     "corrugated_derivative",
     "choose_N",
@@ -77,30 +76,14 @@ def corrugation(job: CorrugationJob, x, t):
     """Value of the corrugation map at (x, t).
 
     Whole periods of gamma - avg integrate to zero, so only the fractional
-    part of N pi(x) contributes.
+    part r of N pi(x) contributes; at a whole phase (r = 0) the value is zero
+    and neither the loop average nor any integral is computed.
     """
     _, _, r = _frac_split(job, x)
-    avg = job.average_at(x, t)
     if r == 0.0:
-        return np.zeros_like(avg)
-    I = job.family.integral_over(x, t, 0.0, r, M=_FRAC_M)
-    return (I - r * avg) / job.N
-
-
-def corrugation_direct(job: CorrugationJob, x, t):
-    """Corrugation by direct quadrature over the full span [0, N pi(x)].
-
-    Reference path for the periodicity reduction, at the panel density the
-    reduction implicitly uses.
-    """
-    z, _, _ = _frac_split(job, x)
-    if z == 0.0:
         return np.zeros(job.family.dim_f)
-    M = max(2048, 512 * int(np.ceil(abs(z))))
-    M += M % 2
-    avg = job.average_at(x, t)
-    I = job.family.integral_over(x, t, 0.0, z, M=M)
-    return (I - z * avg) / job.N
+    I = job.family.integral_over(x, t, 0.0, r, M=_FRAC_M)
+    return (I - r * job.average_at(x, t)) / job.N
 
 
 def remainder(job: CorrugationJob, x, t):

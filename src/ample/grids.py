@@ -104,11 +104,14 @@ def box_grid(lo, hi, cells, periodic=None):
 
 
 class GridRegion:
-    """Boolean mask over a grid's nodes."""
+    """Boolean mask over a grid's nodes; the active node coordinates are
+    computed once, when the region is built."""
 
     def __init__(self, grid, mask):
         self.grid = grid
         self.mask = np.asarray(mask, dtype=bool).reshape(grid.shape)
+        self._nodes = grid.nodes()[self.mask.ravel()]
+        self._nodes.flags.writeable = False
 
     @classmethod
     def empty(cls, grid):
@@ -136,8 +139,9 @@ class GridRegion:
         return int(self.mask.sum())
 
     def nodes(self):
-        """Coordinates of the active nodes, shape (count, dim)."""
-        return self.grid.nodes()[self.mask.ravel()]
+        """Coordinates of the active nodes, shape (count, dim), C-order: the
+        read-only array stored when the region was built."""
+        return self._nodes
 
     def dilate(self, cells=1):
         """Axis-connected dilation by whole cells; periodic axes wrap."""
@@ -172,7 +176,7 @@ class GridRegion:
         """Euclidean distance from x to the nearest active node (periodic-aware)."""
         if self.is_empty:
             return np.inf
-        pts = self.nodes()
+        pts = self._nodes
         x = np.atleast_1d(np.asarray(x, dtype=float))
         d2 = np.zeros(len(pts))
         for i in range(self.grid.dim):

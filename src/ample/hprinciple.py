@@ -199,11 +199,16 @@ class Homotopy:
             self._warped[key] = CorrugationJob(self.p, self.N, fam)
         return self._warped[key]
 
+    def _f(self, t, x, rho):
+        """The f-component f(x) + t rho(x) Corr(x, t) at a clipped t, a point
+        x and rho = rho(x); computes nothing of phi."""
+        return self.section.f(x) + t * rho * corrugation(self._job, x, t)
+
     def eval(self, t, x):
         t = float(np.clip(t, 0.0, 1.0))
         x = np.atleast_1d(np.asarray(x, dtype=float))
         rho = self.cutoff.rho(x)
-        y = self.section.f(x) + t * rho * corrugation(self._job, x, t)
+        y = self._f(t, x, rho)
         z = self.N * self.p.pairing(x)
         w = self.gamma.eval(x, t * rho, np.array([z]))[0]
         phi = update(self.p, self.section.phi(x), w) + remainder(self._warped_job(t), x, 0.0)
@@ -224,9 +229,17 @@ class Homotopy:
         return D
 
     def section_at(self, t):
+        """The jet section at time t.  Its f is eval(t, x)[0] bit for bit but
+        never computes phi, so finite differences of f (the holonomy check,
+        the next stage's derivative) cost no remainder."""
         t = float(np.clip(t, 0.0, 1.0))
+
+        def f(x):
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            return self._f(t, x, self.cutoff.rho(x))
+
         return JetSection(
-            f=lambda x: self.eval(t, x)[0],
+            f=f,
             phi=lambda x: self.eval(t, x)[1],
             df=lambda x: self.d_f_at(t, x),
         )
@@ -240,23 +253,23 @@ class ConcatenatedHomotopy:
             raise ValueError("need at least one stage")
         self.stages = list(stages)
 
+    def _stage(self, t):
+        """The stage covering global time t, and its flat-ended local time."""
+        t = float(np.clip(t, 0.0, 1.0))
+        n = len(self.stages)
+        u = t * n
+        i = min(int(np.floor(u)), n - 1)
+        return self.stages[i], float(smoothstep(u - i))
+
     def eval(self, t, x):
         # stage i is built on top of stage i-1's final section, so evaluating
         # stage i at its warped local time already includes all earlier stages
-        t = float(np.clip(t, 0.0, 1.0))
-        n = len(self.stages)
-        u = t * n
-        i = min(int(np.floor(u)), n - 1)
-        local = float(smoothstep(u - i))
-        return self.stages[i].eval(local, x)
+        stage, local = self._stage(t)
+        return stage.eval(local, x)
 
     def section_at(self, t):
-        t = float(np.clip(t, 0.0, 1.0))
-        n = len(self.stages)
-        u = t * n
-        i = min(int(np.floor(u)), n - 1)
-        local = float(smoothstep(u - i))
-        return self.stages[i].section_at(local)
+        stage, local = self._stage(t)
+        return stage.section_at(local)
 
     @property
     def metadata(self):

@@ -7,7 +7,6 @@ from ample.corrugation import (
     choose_N,
     corrugated_derivative,
     corrugation,
-    corrugation_direct,
     remainder,
     sup_norms,
 )
@@ -47,6 +46,39 @@ class ConstantFamily(loops.LoopFamily):
 
     def eval(self, x, t, s):
         return np.tile(self.value, (len(np.atleast_1d(s)), 1))
+
+
+class CountingFamily(CircleFamily):
+    """CircleFamily that counts every call into eval, average_at and integral_over."""
+
+    def __init__(self, center=(0.0, 0.0)):
+        super().__init__(center)
+        self.calls = 0
+
+    def eval(self, x, t, s):
+        self.calls += 1
+        return super().eval(x, t, s)
+
+    def average_at(self, x, t, M=256):
+        self.calls += 1
+        return super().average_at(x, t, M=M)
+
+    def integral_over(self, x, t, a, b, M=256):
+        self.calls += 1
+        return super().integral_over(x, t, a, b, M=M)
+
+
+def corrugation_direct(job, x, t):
+    """Oracle: corrugation by direct quadrature over the full span
+    [0, N pi(x)], at the panel density the periodicity reduction implicitly
+    uses."""
+    z = job.N * job.p.pairing(x)
+    if z == 0.0:
+        return np.zeros(job.family.dim_f)
+    M = max(2048, 512 * int(np.ceil(abs(z))))
+    M += M % 2
+    I = job.family.integral_over(x, t, 0.0, z, M=M)
+    return (I - z * job.average_at(x, t)) / job.N
 
 
 def pair2():
@@ -92,6 +124,14 @@ class TestCorrugation:
     def test_zero_pairing(self):
         job = CorrugationJob(pair2(), 8.0, CircleFamily())
         assert np.linalg.norm(corrugation(job, [0.0, 3.0], 0.2)) <= 1e-14
+
+    def test_whole_phase_calls_no_family(self):
+        fam = CountingFamily(center=(0.4, -0.2))
+        job = CorrugationJob(pair2(), 4.0, fam)
+        for x in ([0.75, 0.3], [-1.25, 2.0], [3.0, -0.6]):  # N pi(x) = 3, -5, 12
+            got = corrugation(job, x, 0.7)
+            assert got.shape == (fam.dim_f,) and np.all(got == 0.0)
+        assert fam.calls == 0
 
     def test_periodicity_reduction_matches_direct(self):
         rng = np.random.default_rng(1)

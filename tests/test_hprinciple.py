@@ -1,10 +1,11 @@
 import numpy as np
+import pytest
 
-from ample import loops
+from ample import hprinciple, loops
 from ample.corrugation import CorrugationJob, corrugation, remainder
 from ample.grids import GridRegion, box_grid
-from ample.hprinciple import Cutoff, Landscape, _choose_step_n
-from ample.jets import DualPair
+from ample.hprinciple import ConcatenatedHomotopy, Cutoff, Homotopy, Landscape, StepLandscape, _choose_step_n
+from ample.jets import DualPair, JetSection
 
 
 class GradedCircleFamily(loops.LoopFamily):
@@ -42,3 +43,38 @@ class TestChooseStepN:
         # minimal: at half the frequency the peak exceeds eps
         half = CorrugationJob(p, N / 2.0, gamma)
         assert np.linalg.norm(corrugation(half, [1.0 / N, 1.0], 1.0)) > eps
+
+
+def graded_homotopy(N):
+    """A step over the unit square: K0 a 3x3 block of an 8x8-cell grid, K1
+    its two-cell dilation, so the cutoff is not trivial."""
+    grid = box_grid([0.0, 0.0], [1.0, 1.0], [8, 8])
+    k0 = GridRegion.from_box(grid, [0.375, 0.375], [0.625, 0.625])
+    L = Landscape(grid=grid, k0=k0, k1=k0.dilate(2))
+    p = DualPair(pi=[1.0, 0.0], v=[1.0, 0.0])
+    section = JetSection(
+        f=lambda x: np.array([np.sin(x[0]) + x[1], x[0] * x[1]]),
+        phi=lambda x: np.array([[np.cos(x[0]), 1.0], [x[1], x[0]]]),
+    )
+    S = StepLandscape(landscape=L, e_sub=[], p=p)
+    return Homotopy(section, S, GradedCircleFamily(), N, Cutoff(L))
+
+
+class TestSectionF:
+    def test_f_is_eval_f_without_remainder(self, monkeypatch):
+        hom = graded_homotopy(8.0)
+        two = ConcatenatedHomotopy([hom, graded_homotopy(16.0)])
+        rng = np.random.default_rng(0)
+        cases = [(float(t), x) for t, x in zip(rng.uniform(0.0, 1.0, 24), rng.uniform(0.0, 1.0, (24, 2)))]
+        cases += [(1.0, x) for x in rng.uniform(0.0, 1.0, (8, 2))]
+        want = [(hom.eval(t, x)[0], two.eval(t, x)[0]) for t, x in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("f of a section computed a remainder")
+
+        monkeypatch.setattr(hprinciple, "remainder", refuse)
+        for (t, x), (y, y2) in zip(cases, want):
+            assert np.array_equal(hom.section_at(t).f(x), y)
+            assert np.array_equal(two.section_at(t).f(x), y2)
+        with pytest.raises(AssertionError):
+            hom.section_at(0.5).phi(cases[0][1])
