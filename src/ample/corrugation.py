@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .jets import DualPair, fd_jacobian
-from .smooth import cumulative_simpson
+from .loops import LoopFamily
+from .smooth import cumulative_simpson, quad_integral
 
 __all__ = [
     "CorrugationJob",
@@ -49,7 +50,7 @@ class CorrugationJob:
     p: DualPair
     N: float
     family: object
-    _avg_cache: dict = field(default_factory=dict, repr=False)
+    _avg_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.N <= 0:
@@ -120,18 +121,28 @@ def _phase_max(vals, avg, s):
 def _phase_constants(job: CorrugationJob, x, t):
     """(max_r |A|, max_r |B|_F) at one (x, t), from one cumulative quadrature
     over the _FRAC_M phase nodes; B uses the central differences of
-    `remainder`."""
+    `remainder`.
+
+    The family is sampled once at x and once at each of the 2d shifted points.
+    A family that keeps the inherited `LoopFamily.average_at` averages those
+    same samples: its mean is Simpson over linspace(0, 1, _AVG_M + 1), which
+    are the phase nodes, so the shared mean is that average bit for bit.  A
+    family with its own mean (warped, blended, reparametrised) is asked for it.
+    """
     s = np.linspace(0.0, 1.0, _FRAC_M + 1)
     fam = job.family
-    c_corr = _phase_max(np.asarray(fam.eval(x, t, s), dtype=float), job.average_at(x, t), s)
+    shared = _AVG_M == _FRAC_M and type(fam).average_at is LoopFamily.average_at
 
+    def samples(z):
+        vals = np.asarray(fam.eval(z, t, s), dtype=float)
+        avg = quad_integral(lambda _: vals, 0.0, 1.0, _AVG_M) if shared else fam.average_at(z, t, M=_AVG_M)
+        return vals, avg
+
+    vals, avg = samples(x)
     # differentiate the phase samples and the average together: the first
     # _FRAC_M + 1 rows are gamma(x, t, s), the last row is its average
-    def stacked(z):
-        return np.vstack([fam.eval(z, t, s), fam.average_at(z, t, M=_AVG_M)])
-
-    d = fd_jacobian(stacked, x)
-    return c_corr, _phase_max(d[:-1], d[-1], s)
+    d = fd_jacobian(lambda z: np.vstack(samples(z)), x)
+    return _phase_max(vals, avg, s), _phase_max(d[:-1], d[-1], s)
 
 
 def sup_norms(job: CorrugationJob, points, t_values):
@@ -141,7 +152,9 @@ def sup_norms(job: CorrugationJob, points, t_values):
     over every phase r in [0, 1], divided by N: the corrugation equals
     A(x, t, frac(N pi(x))) / N whatever N is, so the bound holds at every x
     whose phase the grid misses, including grids where N pi(x) is an integer
-    at every node.
+    at every node.  Each (x, t) evaluates the family over the phase nodes at
+    x and at the 2d points of one central difference; a family with its own
+    mean is also asked for it at those points (see `_phase_constants`).
     """
     c_corr = 0.0
     c_rem = 0.0

@@ -179,7 +179,12 @@ class Cutoff:
 
 
 class Homotopy:
-    """Time-indexed family of jet sections produced by one corrugation step."""
+    """Time-indexed family of jet sections produced by one corrugation step.
+
+    `eval_times(ts, x)` reads a column of times at one point and computes
+    rho(x), f(x), phi(x) and the phase N pi(x) once for it; `eval(t, x)` is
+    its one-time column.
+    """
 
     def __init__(self, section: JetSection, S: StepLandscape, gamma, N, cutoff: Cutoff, metadata=None):
         self.section = section
@@ -199,20 +204,29 @@ class Homotopy:
             self._warped[key] = CorrugationJob(self.p, self.N, fam)
         return self._warped[key]
 
-    def _f(self, t, x, rho):
+    def _f(self, t, x, rho, fx):
         """The f-component f(x) + t rho(x) Corr(x, t) at a clipped t, a point
-        x and rho = rho(x); computes nothing of phi."""
-        return self.section.f(x) + t * rho * corrugation(self._job, x, t)
+        x, rho = rho(x) and fx = f(x); computes nothing of phi."""
+        return fx + t * rho * corrugation(self._job, x, t)
 
-    def eval(self, t, x):
-        t = float(np.clip(t, 0.0, 1.0))
+    def eval_times(self, ts, x):
+        """[eval(t, x) for t in ts], bit for bit, with rho(x), f(x), phi(x)
+        and the phase N pi(x) computed once for the whole column."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         rho = self.cutoff.rho(x)
-        y = self._f(t, x, rho)
-        z = self.N * self.p.pairing(x)
-        w = self.gamma.eval(x, t * rho, np.array([z]))[0]
-        phi = update(self.p, self.section.phi(x), w) + remainder(self._warped_job(t), x, 0.0)
-        return y, phi
+        f0 = self.section.f(x)
+        phi0 = self.section.phi(x)
+        z = np.array([self.N * self.p.pairing(x)])
+        out = []
+        for t in ts:
+            t = float(np.clip(t, 0.0, 1.0))
+            y = self._f(t, x, rho, f0)
+            w = self.gamma.eval(x, t * rho, z)[0]
+            out.append((y, update(self.p, phi0, w) + remainder(self._warped_job(t), x, 0.0)))
+        return out
+
+    def eval(self, t, x):
+        return self.eval_times([t], x)[0]
 
     def d_f_at(self, t, x):
         """Analytic derivative of the f-component via the derivative formula."""
@@ -236,7 +250,7 @@ class Homotopy:
 
         def f(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            return self._f(t, x, self.cutoff.rho(x))
+            return self._f(t, x, self.cutoff.rho(x), self.section.f(x))
 
         return JetSection(
             f=f,
@@ -261,11 +275,22 @@ class ConcatenatedHomotopy:
         i = min(int(np.floor(u)), n - 1)
         return self.stages[i], float(smoothstep(u - i))
 
+    def eval_times(self, ts, x):
+        """[eval(t, x) for t in ts], bit for bit: one column per stage over
+        the times that stage covers.  Stage i is built on top of stage i-1's
+        final section, so evaluating stage i at its warped local time already
+        includes all earlier stages."""
+        staged = [self._stage(t) for t in ts]
+        out = [None] * len(ts)
+        for stage in self.stages:
+            idx = [i for i, (st, _) in enumerate(staged) if st is stage]
+            if idx:
+                for i, ev in zip(idx, stage.eval_times([staged[i][1] for i in idx], x)):
+                    out[i] = ev
+        return out
+
     def eval(self, t, x):
-        # stage i is built on top of stage i-1's final section, so evaluating
-        # stage i at its warped local time already includes all earlier stages
-        stage, local = self._stage(t)
-        return stage.eval(local, x)
+        return self.eval_times([t], x)[0]
 
     def section_at(self, t):
         stage, local = self._stage(t)
@@ -412,25 +437,28 @@ def verify_conclusions(
     """Residual report for the five step conclusions, all measured on grids.
 
     The holonomy check runs finite differences on the corrugated map itself,
-    independent of the analytic derivative carried by the homotopy.
+    independent of the analytic derivative carried by the homotopy.  Each node
+    reads one `hom.eval_times` column, t = 0 included.
     """
     if t_values is None:
         t_values = np.linspace(0.0, 1.0, 11)
     t_values = [float(t) for t in t_values]
+    # the start check reads t = 0 from the same column
+    column = t_values if 0.0 in t_values else t_values + [0.0]
     frozen = L.k1.complement()
     if L.c is not None and not L.c.is_empty:
         frozen = frozen.union(GridRegion(L.grid, L.c.mask & L.k1.mask).dilate(NEAR_CELLS))
     frozen_at = frozen.mask.ravel()
 
-    # one pass over the nodes, each (node, t) evaluated once
+    # one pass over the nodes, one time column per node
     res0 = res_frozen = res_c0 = 0.0
     member_ok = True
     margin_min = np.inf
     witness = None
     for x, is_frozen in zip(L.grid.nodes(), frozen_at):
         f0, p0 = F0.f(x), F0.phi(x)
-        evals = [hom.eval(t, x) for t in t_values]
-        y, phi = evals[t_values.index(0.0)] if 0.0 in t_values else hom.eval(0.0, x)
+        evals = hom.eval_times(column, x)
+        y, phi = evals[column.index(0.0)]
         res0 = max(res0, float(np.linalg.norm(y - f0)), float(np.linalg.norm(phi - p0)))
         for t, (y, phi) in zip(t_values, evals):
             jet = OneJet(x, y, phi)

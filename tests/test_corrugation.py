@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,19 @@ class CountingFamily(CircleFamily):
     def integral_over(self, x, t, a, b, M=256):
         self.calls += 1
         return super().integral_over(x, t, a, b, M=M)
+
+
+class EvalCountingFamily(CircleFamily):
+    """CircleFamily that counts its eval calls and keeps the inherited
+    LoopFamily.average_at, whose quadrature calls eval too."""
+
+    def __init__(self, center=(0.0, 0.0)):
+        super().__init__(center)
+        self.evals = 0
+
+    def eval(self, x, t, s):
+        self.evals += 1
+        return super().eval(x, t, s)
 
 
 def corrugation_direct(job, x, t):
@@ -219,19 +234,33 @@ class TestChooseN:
         job = CorrugationJob(pair2(), 1.0, fam)
         pts = self.grid_points()
         N = choose_N(job, pts, [0.5, 1.0], eps=0.01)
-        from dataclasses import replace
-
-        ok_c, ok_r = sup_norms(replace(job, N=N, _avg_cache={}), pts, [0.5, 1.0])
+        ok_c, ok_r = sup_norms(replace(job, N=N), pts, [0.5, 1.0])
         assert ok_c <= 0.01 and ok_r <= 0.01
-        half_c, half_r = sup_norms(replace(job, N=N / 2, _avg_cache={}), pts, [0.5, 1.0])
+        half_c, half_r = sup_norms(replace(job, N=N / 2), pts, [0.5, 1.0])
         assert max(half_c, half_r) > 0.01
         # |Corr| peaks at x_1 = 1/(2N), off the nodes x_1 in Z/4 where N pi(x)
         # is an integer and every sampled corrugation vanishes
         x = np.array([1.0 / (2.0 * N), 0.3])
         exact = circle_corrugation_exact(N, x[0])
         assert np.linalg.norm(exact) <= 0.01
-        got = corrugation(replace(job, N=N, _avg_cache={}), x, 1.0)
+        got = corrugation(replace(job, N=N), x, 1.0)
         assert np.linalg.norm(got - exact) <= 1e-10
+
+    def test_bound_samples_each_point_once(self):
+        # one sample array at x and at each of the 2d shifted points; the
+        # inherited mean reuses it instead of sampling again
+        fam = EvalCountingFamily(center=(0.4, -0.2))
+        pts = self.grid_points()[:7]
+        sup_norms(CorrugationJob(pair2(), 1.0, fam), pts, [0.5, 1.0])
+        assert fam.evals == (1 + 2 * 2) * len(pts) * 2
+
+    def test_replace_starts_an_empty_cache(self):
+        job = CorrugationJob(pair2(), 1.0, CircleFamily())
+        job.average_at(np.array([0.3, 0.1]), 0.5)
+        other = replace(job, N=2.0)
+        assert len(job._avg_cache) == 1 and other._avg_cache == {}
+        with pytest.raises(TypeError):
+            CorrugationJob(pair2(), 1.0, CircleFamily(), {})
 
     def test_one_over_n_decay(self):
         fam = CircleFamily()

@@ -4,8 +4,16 @@ import pytest
 from ample import hprinciple, loops
 from ample.corrugation import CorrugationJob, corrugation, remainder
 from ample.grids import GridRegion, box_grid
-from ample.hprinciple import ConcatenatedHomotopy, Cutoff, Homotopy, Landscape, StepLandscape, _choose_step_n
-from ample.jets import DualPair, JetSection
+from ample.hprinciple import (
+    ConcatenatedHomotopy,
+    Cutoff,
+    Homotopy,
+    Landscape,
+    StepLandscape,
+    _choose_step_n,
+    verify_conclusions,
+)
+from ample.jets import DualPair, JetSection, Relation, update
 
 
 class GradedCircleFamily(loops.LoopFamily):
@@ -78,3 +86,81 @@ class TestSectionF:
             assert np.array_equal(two.section_at(t).f(x), y2)
         with pytest.raises(AssertionError):
             hom.section_at(0.5).phi(cases[0][1])
+
+
+def assert_bit_equal(got, want):
+    """Nested dicts, lists and tuples with np.array_equal leaves."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert_bit_equal(got[k], want[k])
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_bit_equal(a, b)
+    elif want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, want)
+
+
+class PerTimeOracle:
+    """A homotopy read through eval once per (node, t)."""
+
+    def __init__(self, hom):
+        self.hom = hom
+
+    def eval_times(self, ts, x):
+        return [self.hom.eval(t, x) for t in ts]
+
+    def section_at(self, t):
+        return self.hom.section_at(t)
+
+
+def eval_reference(hom, t, x):
+    """Homotopy.eval from its definition, one time at a time."""
+    t = float(np.clip(t, 0.0, 1.0))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rho = hom.cutoff.rho(x)
+    y = hom.section.f(x) + t * rho * corrugation(CorrugationJob(hom.p, hom.N, hom.gamma), x, t)
+    w = hom.gamma.eval(x, t * rho, np.array([hom.N * hom.p.pairing(x)]))[0]
+    warped = CorrugationJob(hom.p, hom.N, loops.WarpedFamily(hom.gamma, lambda z: t * hom.cutoff.rho(z)))
+    return y, update(hom.p, hom.section.phi(x), w) + remainder(warped, x, 0.0)
+
+
+def two_stage():
+    return ConcatenatedHomotopy([graded_homotopy(8.0), graded_homotopy(16.0)])
+
+
+class TestEvalTimes:
+    def test_column_is_eval_per_time(self):
+        rng = np.random.default_rng(3)
+        ts = list(rng.uniform(0.0, 1.0, 7)) + [0.0, 1.0, 0.5, -0.2, 1.3]
+        hom = graded_homotopy(8.0)
+        two = two_stage()
+        for x in rng.uniform(0.0, 1.0, (6, 2)):
+            column = hom.eval_times(ts, x)
+            assert_bit_equal(column, [hom.eval(t, x) for t in ts])
+            assert_bit_equal(column, [eval_reference(hom, t, x) for t in ts])
+            assert_bit_equal(two.eval_times(ts, x), [two.eval(t, x) for t in ts])
+
+
+class TestVerifyConclusions:
+    @pytest.mark.parametrize("t_values", [None, [0.25, 0.5, 1.0]])
+    @pytest.mark.parametrize("floor", [None, 0.5])
+    def test_report_is_per_time_report(self, t_values, floor):
+        # verified on a grid off the 1/16 lattice, where N pi(x) is never an
+        # integer, so every node reads a corrugation and a remainder; without
+        # a floor every jet is a member and margin_min is the minimum over
+        # every (node, t), with one the report carries a witness
+        grid = box_grid([0.03, 0.03], [0.93, 0.93], [4, 4])
+        k0 = GridRegion.from_box(grid, [0.4, 0.4], [0.6, 0.6])
+        L = Landscape(grid=grid, k0=k0, k1=k0.dilate(2))
+        R = Relation(
+            member=lambda jet: floor is None or np.linalg.svd(jet.phi, compute_uv=False)[-1] > floor,
+            margin=lambda jet: float(np.linalg.norm(jet.phi)),
+        )
+        for hom in (graded_homotopy(8.0), two_stage()):
+            F0 = (hom if isinstance(hom, Homotopy) else hom.stages[0]).section
+            got = verify_conclusions(hom, F0, R, L, 0.05, t_values=t_values)
+            assert_bit_equal(got, verify_conclusions(PerTimeOracle(hom), F0, R, L, 0.05, t_values=t_values))

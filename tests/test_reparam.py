@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ample import loops, reparam
+from ample import corrugation, loops, reparam
+from ample.corrugation import CorrugationJob, sup_norms
 from ample.errors import DegenerateWeights, NoConvergence
 from ample.grids import box_grid
+from ample.jets import DualPair, fd_jacobian
 from ample.loops import Loop, average
 from ample.reparam import (
     CircleReparam,
@@ -322,3 +324,46 @@ class TestReparametrizeFamily:
         direct = average(out.loop_at(x, 1.0), 262144)
         fast = out.average_at(x, 1.0)
         assert np.linalg.norm(direct - fast) <= 1e-6
+
+
+def sup_norms_oracle(job, points, t_values):
+    """corrugation.sup_norms with the family sampled at the phase nodes and
+    asked for its own mean, at x and at every shifted point."""
+    s = np.linspace(0.0, 1.0, corrugation._FRAC_M + 1)
+    fam = job.family
+    c_corr = c_rem = 0.0
+    for x in points:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        for t in t_values:
+
+            def stacked(z, t=t):
+                return np.vstack([fam.eval(z, t, s), fam.average_at(z, t, M=corrugation._AVG_M)])
+
+            here = stacked(x)
+            d = fd_jacobian(stacked, x)
+            c_corr = max(c_corr, corrugation._phase_max(here[:-1], here[-1], s))
+            c_rem = max(c_rem, corrugation._phase_max(d[:-1], d[-1], s))
+    return c_corr / job.N, c_rem / job.N
+
+
+class TestSupNormsMean:
+    """The 1/N bound takes each family's mean as the family defines it: a
+    reparametrised or blended mean is not the Simpson mean of its samples."""
+
+    def family(self, kind):
+        if kind == "inherited":
+            return TranslatedCircleFamily()
+        if kind == "reparametrised":
+            return exact_family(1)[1]
+        return loops.BlendedFamily(
+            beta=lambda x: np.array([0.3, -0.1]) + 0.2 * np.atleast_1d(x)[0],
+            family=TranslatedCircleFamily(),
+            chi=lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * np.atleast_1d(x)[0]),
+        )
+
+    @pytest.mark.parametrize("kind", ["inherited", "reparametrised", "blended"])
+    def test_matches_sample_and_mean_oracle(self, kind):
+        job = CorrugationJob(DualPair([1.0], [1.0]), 1.0, self.family(kind))
+        pts = [np.array([a]) for a in (0.1, 0.37, 0.8)]
+        got = sup_norms(job, pts, [0.5, 1.0])
+        assert np.array_equal(got, sup_norms_oracle(job, pts, [0.5, 1.0]))
