@@ -276,21 +276,13 @@ class ConcatenatedHomotopy:
         return self.stages[i], float(smoothstep(u - i))
 
     def eval_times(self, ts, x):
-        """[eval(t, x) for t in ts], bit for bit: one column per stage over
-        the times that stage covers.  Stage i is built on top of stage i-1's
-        final section, so evaluating stage i at its warped local time already
-        includes all earlier stages."""
-        staged = [self._stage(t) for t in ts]
-        out = [None] * len(ts)
-        for stage in self.stages:
-            idx = [i for i, (st, _) in enumerate(staged) if st is stage]
-            if idx:
-                for i, ev in zip(idx, stage.eval_times([staged[i][1] for i in idx], x)):
-                    out[i] = ev
-        return out
+        return [stage.eval(local, x) for stage, local in map(self._stage, ts)]
 
     def eval(self, t, x):
-        return self.eval_times([t], x)[0]
+        # stage i is built on top of stage i-1's final section, so evaluating
+        # stage i at its warped local time already includes all earlier stages
+        stage, local = self._stage(t)
+        return stage.eval(local, x)
 
     def section_at(self, t):
         stage, local = self._stage(t)
@@ -438,13 +430,12 @@ def verify_conclusions(
 
     The holonomy check runs finite differences on the corrugated map itself,
     independent of the analytic derivative carried by the homotopy.  Each node
-    reads one `hom.eval_times` column, t = 0 included.
+    reads one `hom.eval_times` column over `t_values`; the start check reads
+    the one-time `hom.eval(0, x)`, so both read paths are checked.
     """
     if t_values is None:
         t_values = np.linspace(0.0, 1.0, 11)
     t_values = [float(t) for t in t_values]
-    # the start check reads t = 0 from the same column
-    column = t_values if 0.0 in t_values else t_values + [0.0]
     frozen = L.k1.complement()
     if L.c is not None and not L.c.is_empty:
         frozen = frozen.union(GridRegion(L.grid, L.c.mask & L.k1.mask).dilate(NEAR_CELLS))
@@ -457,10 +448,9 @@ def verify_conclusions(
     witness = None
     for x, is_frozen in zip(L.grid.nodes(), frozen_at):
         f0, p0 = F0.f(x), F0.phi(x)
-        evals = hom.eval_times(column, x)
-        y, phi = evals[column.index(0.0)]
+        y, phi = hom.eval(0.0, x)
         res0 = max(res0, float(np.linalg.norm(y - f0)), float(np.linalg.norm(phi - p0)))
-        for t, (y, phi) in zip(t_values, evals):
+        for t, (y, phi) in zip(t_values, hom.eval_times(t_values, x)):
             jet = OneJet(x, y, phi)
             if not R.member(jet):
                 member_ok = False

@@ -110,6 +110,9 @@ class PerTimeOracle:
     def __init__(self, hom):
         self.hom = hom
 
+    def eval(self, t, x):
+        return self.hom.eval(t, x)
+
     def eval_times(self, ts, x):
         return [self.hom.eval(t, x) for t in ts]
 
