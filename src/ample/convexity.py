@@ -1,5 +1,6 @@
-"""Affine bases, barycentric coordinates, hull certificates, and grid
-flood fill for connected components of open sets.
+"""Hull certificates (affine bases of given points with the barycentric
+coordinates of a target) and grid flood fill for connected components of
+open sets.
 
 The "surrounds" predicate is deliberately stricter than hull-interior
 membership: it demands an affine basis drawn from the given points giving
@@ -16,14 +17,11 @@ from math import comb
 
 import numpy as np
 
-from .errors import SeedOutside, SingularBasis
+from .errors import SeedOutside
 from .grids import Grid, GridRegion, bfs
 
 __all__ = [
-    "AffineBasis",
     "GridComponent",
-    "barycentric_coords",
-    "is_interior_of_hull",
     "surrounds",
     "flood_fill_component",
 ]
@@ -38,44 +36,6 @@ def _affine_matrix(points):
     test is |det| of this square matrix."""
     pts = np.asarray(points, dtype=float)
     return np.swapaxes(np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1), -1, -2)
-
-
-@dataclass(frozen=True)
-class AffineBasis:
-    """d+1 affinely independent points of a d-dimensional space."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 1:
-            raise ValueError("need d+1 points in dimension d")
-        object.__setattr__(self, "points", pts)
-        if abs(np.linalg.det(_affine_matrix(pts))) <= DET_FLOOR:
-            raise SingularBasis("points are affinely dependent")
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def matrix(self):
-        return _affine_matrix(self.points)
-
-
-def barycentric_coords(basis: AffineBasis, q):
-    """Weights w with sum w_i p_i = q and sum w_i = 1, by one dense solve."""
-    q = np.asarray(q, dtype=float).ravel()
-    M = basis.matrix()
-    if abs(np.linalg.det(M)) <= DET_FLOOR:
-        raise SingularBasis("basis matrix is numerically singular")
-    return np.linalg.solve(M, np.append(q, 1.0))
-
-
-def is_interior_of_hull(basis: AffineBasis, q, mu):
-    """True iff every barycentric coordinate of q is at least mu (> 0)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return bool(np.all(barycentric_coords(basis, q) >= mu))
 
 
 def surrounds(points, v, mu=1e-6):

@@ -5,10 +5,6 @@ class EngineError(Exception):
     """Base class for all numerical-engine failures."""
 
 
-class SingularBasis(EngineError):
-    """Candidate point set is not affinely independent."""
-
-
 class SeedOutside(EngineError):
     """Flood-fill seed does not satisfy the membership predicate."""
 
@@ -19,10 +15,6 @@ class NotSurrounded(EngineError):
 
 class MarginExceeded(EngineError):
     """A safety-ball check failed at the finest refinement."""
-
-
-class DegenerateWeights(EngineError):
-    """Simplex weights below floor or centers not distinct."""
 
 
 class NoConvergence(EngineError):

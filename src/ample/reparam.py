@@ -1,38 +1,44 @@
 """Delta mollifiers and circle reparametrisations: monotone degree-1 maps
 phi with phi(0) = 0 making a loop's average hit a prescribed target.
 
-phi is recovered from its inverse, the cumulative integral of a positive
-density (a weighted mollifier sum plus a small uniform leak).  Composed
-loops are integrated by the exact substitution
-int gamma(phi(s)) ds = int gamma(u) rho(u) du / total,
-which keeps every downstream quadrature on the well-resolved u-side.
+phi is the inverse of psi(t) = int_0^t rho, where the density
+rho = (LEAK + sum_k w_k m_k) / (1 + LEAK) mixes unit-mass mollifiers m_k of
+one half-width _ETA at the fixed centres c_k = k / _CERTIFICATE_M with a
+uniform leak.  By the substitution int gamma(phi(s)) ds = int gamma(u) rho(u) du
+the average of gamma . phi is (w @ a + LEAK abar) / (1 + LEAK), affine in w
+(a_k the mollifier dots, abar the plain average), so the weights come from a
+solve in the target's d dimensions: the max-entropy weights of Sukumar
+(IJNME 61, 2004), positive exactly when the target lies in the open hull of
+the a_k.  Partial integrals of composed loops keep to the u-side, where
+the quadrature is well resolved.
 """
 
-import itertools
 from collections import OrderedDict
 
 import numpy as np
 
-from .errors import DegenerateWeights, NoConvergence
+from .errors import NoConvergence, NotSurrounded
 from .loops import LoopFamily, average, surround_certificate
-from .smooth import bump, cumulative_simpson, quad_integral, smoothstep
+from .smooth import bump, cumulative_simpson, quad_integral
 
 __all__ = [
     "DeltaMollifier",
     "CircleReparam",
-    "reparam_from_weights",
     "adjust_weights",
-    "DensityField",
     "ReparametrizedFamily",
     "reparametrize_family",
 ]
 
-WEIGHT_FLOOR = 1e-4
 LEAK = 1e-3
 _SOLVE_TOL = 1e-8  # residual of average(gamma . phi_w) - g accepted by adjust_weights
-_CERTIFICATE_M = 64  # loop samples per surround certificate
-_REPARAM_CACHE = 8192  # circle maps kept per ReparametrizedFamily
-_DOT_PANELS = 512  # Simpson panels over each mollifier's support in _mollifier_dots
+_NEWTON_MAX = 100  # damped Newton steps of adjust_weights before it gives up
+_CERTIFICATE_M = 64  # loop samples per surround certificate, and mollifier centres
+_CENTERS = np.arange(_CERTIFICATE_M) / _CERTIFICATE_M
+_ETA = 1.0 / (4 * _CERTIFICATE_M)  # mollifier half-width: supports are disjoint
+_REPARAM_CACHE = 8192  # weights (and circle maps) kept per ReparametrizedFamily
+_DOT_PANELS = 256  # Simpson panels over each mollifier's support in _mollifier_dots
+_ABAR_M = 2048  # Simpson panels of the plain loop average
+_U_PANELS = 96 * 4 * _CERTIFICATE_M  # panels per unit of u in integral_over: 96 per _ETA
 
 _BUMP_MASS = float(quad_integral(bump, -1.0, 1.0, 4096))
 
@@ -61,14 +67,6 @@ class DeltaMollifier:
         return bump(d / eta) / (eta * _BUMP_MASS)
 
 
-def _mollifier_width(centers):
-    """Half-width eta of the mollifiers at the centres: a quarter of the
-    smallest circular gap between them."""
-    c = np.sort(np.mod(np.asarray(centers, dtype=float), 1.0))
-    gaps = np.diff(np.concatenate([c, [c[0] + 1.0]]))
-    return float(gaps.min()) / 4.0
-
-
 class CircleReparam:
     """Monotone circle map phi with phi(t+1) = phi(t) + 1 and phi(0) = 0.
 
@@ -82,13 +80,9 @@ class CircleReparam:
         self.density = density
         n = max(8192, int(np.ceil(120.0 / max(feature, 1e-4) / 2.0)) * 2)
         t = np.arange(n + 1) / n
-        rho = np.asarray(density(t), dtype=float)
-        if np.any(rho <= 0):
-            raise DegenerateWeights("density must be strictly positive")
-        cum = cumulative_simpson(rho, 1.0 / n)
+        cum = cumulative_simpson(np.asarray(density(t), dtype=float), 1.0 / n)
         self.total = float(cum[-1])
         self._t = t
-        self._rho = rho
         self._psi = cum / self.total
         self._n = n
 
@@ -123,162 +117,123 @@ class CircleReparam:
         return self.phi(s)
 
 
-def _mix_density(weights, centers, eta):
-    """The density (LEAK + sum_i w_i m_i) / (1 + LEAK) of mollifiers m_i of
-    half-width eta_i (scalar or per centre) at the centres."""
+def _mix_density(weights):
+    """The density (LEAK + sum_k w_k m_k) / (1 + LEAK) of the mollifiers at
+    the fixed centres.  Their supports are disjoint, so each s reads only the
+    mollifier of its nearest centre."""
     w = np.asarray(weights, dtype=float)
-    m = DeltaMollifier(centers, eta)
-    return lambda s: (LEAK + np.tensordot(w, m(s), axes=1)) / (1.0 + LEAK)
+    m = DeltaMollifier(0.0, _ETA)
+
+    def density(s):
+        k = np.rint(np.asarray(s, dtype=float) * _CERTIFICATE_M)
+        return (LEAK + w[k.astype(int) % _CERTIFICATE_M] * m(s - k / _CERTIFICATE_M)) / (1.0 + LEAK)
+
+    return density
 
 
-def reparam_from_weights(weights, centers, eta=None):
-    """Circle reparametrisation spending roughly time w_i at each center s_i.
+def _mollifier_dots(loop, centers):
+    """a_k = int gamma(s) m_k(s) ds over each mollifier's support, from one
+    loop evaluation on the (len(centers), _DOT_PANELS + 1) Simpson nodes."""
+    c = np.asarray(centers, dtype=float)
+    m = DeltaMollifier(0.0, _ETA)
 
-    The inverse map integrates the weighted mollifier sum plus a uniform leak
-    LEAK keeping it strictly increasing.
+    def integrand(u):
+        vals = loop((u[:, None] + c).ravel()).reshape(len(u), len(c), -1)
+        return vals * m(u)[:, None, None]
+
+    return quad_integral(integrand, -_ETA, _ETA, _DOT_PANELS)
+
+
+def _max_entropy_weights(a, abar, g):
+    """Positive weights w summing to 1 with (w @ a + LEAK abar) / (1 + LEAK) = g.
+
+    That holds exactly when w @ z = 0 for z_k = a_k - g', with
+    g' = (1 + LEAK) g - LEAK abar.  The max-entropy weights
+    w_k ∝ exp(lam . z_k) do this at the minimiser lam of the convex dual
+    log sum_k exp(lam . z_k), found by damped Newton in d unknowns.  The
+    minimiser exists exactly when g' lies in the open hull of the a_k;
+    otherwise lam runs off and NoConvergence carries the last w (on the
+    simplex, some entries possibly underflowed to 0) and its residual.
     """
-    w = np.asarray(weights, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    if np.any(w < WEIGHT_FLOOR):
-        raise DegenerateWeights(f"weights below floor {WEIGHT_FLOOR}")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise DegenerateWeights("weights must sum to 1")
-    width = _mollifier_width(centers)
-    if width < 1e-9 / 4.0:
-        raise DegenerateWeights("centers must be distinct mod 1")
-    if eta is None:
-        eta = width
-    return CircleReparam(_mix_density(w, centers, eta), eta)
+    z = a - ((1.0 + LEAK) * g - LEAK * abar)
 
+    def dual(lam):
+        e = z @ lam
+        top = e.max()
+        p = np.exp(e - top)
+        return top + np.log(p.sum()), p / p.sum()
 
-def _mollifier_dots(loop, centers, eta):
-    """a_i = int gamma(s) m_i(s) ds over each mollifier's support."""
-    out = []
-    for c in centers:
-        m = DeltaMollifier(c, eta)
-        out.append(quad_integral(lambda s: loop(s) * m(s)[:, None], c - eta, c + eta, _DOT_PANELS))
-    return np.stack(out)
-
-
-def adjust_weights(gamma, g, centers):
-    """Weights w >= WEIGHT_FLOOR summing to 1 with average(gamma . phi_w) = g.
-
-    Under the substitution identity the average (w @ a + LEAK abar) / (1 + LEAK)
-    is affine in w (a_i the mollifier dots), so w solves one linear system,
-    together with sum(w) = 1; lstsq covers k = d + 1 centres and more.  A
-    weight below the floor or a residual above _SOLVE_TOL (a target outside
-    the hull of the a_i) raises NoConvergence carrying w.
-    """
-    g = np.asarray(g, dtype=float).ravel()
-    centers = np.asarray(centers, dtype=float)
-    a = _mollifier_dots(gamma, centers, _mollifier_width(centers))  # (k, d)
-    abar = average(gamma, 2048)
-    J = np.vstack([a.T / (1.0 + LEAK), np.ones(len(centers))])
-    w = np.linalg.lstsq(J, np.append(g - LEAK * abar / (1.0 + LEAK), 1.0), rcond=None)[0]
-    res = float(np.linalg.norm((w @ a + LEAK * abar) / (1.0 + LEAK) - g))
-    if w.min() >= WEIGHT_FLOOR and res <= _SOLVE_TOL:
-        return w
+    lam = np.zeros(g.size)
+    f, w = dual(lam)
+    for _ in range(_NEWTON_MAX):
+        grad = w @ z
+        if np.linalg.norm(grad) <= (1.0 + LEAK) * _SOLVE_TOL:
+            return w
+        zc = z - grad
+        step = np.linalg.lstsq((w[:, None] * zc).T @ zc, -grad, rcond=None)[0]
+        tau = 1.0
+        f_new, w_new = dual(lam + step)
+        while f_new > f + 1e-4 * tau * (grad @ step) and tau > 1e-12:
+            tau *= 0.5
+            f_new, w_new = dual(lam + tau * step)
+        lam, f, w = lam + tau * step, f_new, w_new
+    res = float(np.linalg.norm(w @ z)) / (1.0 + LEAK)
     raise NoConvergence(
-        f"weights {w} (floor {WEIGHT_FLOOR}), average residual {res:.3e}", best_residual=res, best_value=w
+        f"max-entropy weights {w}: average residual {res:.3e} after {_NEWTON_MAX} Newton steps, "
+        f"|lambda| = {np.linalg.norm(lam):.3e}",
+        best_residual=res,
+        best_value=w,
     )
 
 
+def adjust_weights(gamma, g, centers):
+    """Positive weights w summing to 1 with average(gamma . phi_w) = g, phi_w
+    the reparametrisation of the mollifiers at the centres: the max-entropy
+    weights of the mollifier dots (see _max_entropy_weights)."""
+    g = np.asarray(g, dtype=float).ravel()
+    return _max_entropy_weights(_mollifier_dots(gamma, centers), average(gamma, _ABAR_M), g)
+
+
 # ---------------------------------------------------------------------------
-# families of reparametrisations over a grid
-
-
-class DensityField:
-    """Smoothly blended field of centring densities over a tensor grid.
-
-    centers holds one array of loop parameters per grid node in flat order
-    (the node's surround certificate), each mollified at its own width.  At
-    any x every corner node's weights are solved for the loop at x and the
-    target g(x), so each corner density averages that loop to g(x) exactly;
-    the smoothstep corner weights are a partition of unity, and the average
-    is affine in the density, so their blend does too.
-    """
-
-    def __init__(self, grid, family, g, centers):
-        self.grid = grid
-        self.family = family
-        self.g = g
-        self.centers = list(centers)
-        self.etas = [_mollifier_width(c) for c in self.centers]
-        self.eta_min = min(self.etas)
-
-    def _corners(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        per_axis = []
-        for i in range(self.grid.dim):
-            a = self.grid.axes[i]
-            n = len(a)
-            h = self.grid.spacing[i]
-            if self.grid.periodic[i]:
-                z = ((x[i] - a[0]) / h) % n
-                i0 = int(np.floor(z)) % n
-                u = z - np.floor(z)
-                i1 = (i0 + 1) % n
-            else:
-                z = np.clip((x[i] - a[0]) / h, 0.0, n - 1.0)
-                i0 = min(int(np.floor(z)), n - 2) if n > 1 else 0
-                u = z - i0
-                i1 = min(i0 + 1, n - 1)
-            wu = float(smoothstep(u))
-            per_axis.append(((i0, 1.0 - wu), (i1, wu)))
-        out = []
-        for combo in itertools.product(*per_axis):
-            wt = 1.0
-            idx = []
-            for i, (ij, wij) in enumerate(combo):
-                wt *= wij
-                idx.append(ij)
-            if wt > 0.0:
-                flat = int(np.ravel_multi_index(idx, self.grid.shape))
-                out.append((flat, wt))
-        return out
-
-    def density_at(self, x):
-        """One mollifier sum over the corner nodes' centres, each node's
-        weights solved at x and scaled by its corner weight; the corner
-        weights sum to 1, so the leak is that of a single node."""
-        loop = self.family.loop_at(x, 1.0)
-        gx = np.asarray(self.g(x), dtype=float).ravel()
-        w, centers, eta = [], [], []
-        for flat, wt in self._corners(x):
-            cn = self.centers[flat]
-            w.append(wt * adjust_weights(loop, gx, cn))
-            centers.append(cn)
-            eta.append(np.full(len(cn), self.etas[flat]))
-        return _mix_density(np.concatenate(w), np.concatenate(centers), np.concatenate(eta))
+# families of reparametrisations
 
 
 class ReparametrizedFamily(LoopFamily):
-    """Loop family composed with a field of circle reparametrisations.
+    """The family composed at each x with the circle map whose max-entropy
+    weights over the fixed centres make the t=1 average g(x).
 
-    Integrals over the loop parameter are computed by exact substitution on
-    the underlying family, which keeps quadrature well-conditioned even for
-    strongly concentrated densities.
+    Weights are solved when x is first read and kept in an LRU cache with
+    the t=1 average they give and the CircleReparam, which is built only
+    when a value or a partial integral needs phi.  Averages need no phi;
+    they are (w @ a(x, t) + LEAK abar(x, t)) / (1 + LEAK) by substitution.
     """
 
-    def __init__(self, inner, field: DensityField):
+    def __init__(self, inner, g):
         self.inner = inner
-        self.field = field
+        self.g = g
         self.dim_f = inner.dim_f
         self._cache = OrderedDict()
-        # quadrature in u must resolve the sharpest mollifier
-        self._m_unit = min(int(np.ceil(96.0 / self.field.eta_min / 1024.0)) * 1024, 65536)
 
-    def reparam_at(self, x):
+    def _entry(self, x):
+        """[weights, t=1 average, CircleReparam or None] at x."""
         key = np.atleast_1d(np.asarray(x, dtype=float)).tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
+        entry = self._cache.get(key)
+        if entry is not None:
             self._cache.move_to_end(key)
-            return hit
-        rp = CircleReparam(self.field.density_at(x), self.field.eta_min)
-        self._cache[key] = rp
+            return entry
+        loop = self.inner.loop_at(x, 1.0)
+        a, abar = _mollifier_dots(loop, _CENTERS), average(loop, _ABAR_M)
+        w = _max_entropy_weights(a, abar, np.asarray(self.g(x), dtype=float).ravel())
+        entry = self._cache[key] = [w, (w @ a + LEAK * abar) / (1.0 + LEAK), None]
         if len(self._cache) > _REPARAM_CACHE:
             self._cache.popitem(last=False)
-        return rp
+        return entry
+
+    def reparam_at(self, x):
+        entry = self._entry(x)
+        if entry[2] is None:
+            entry[2] = CircleReparam(_mix_density(entry[0]), _ETA)
+        return entry[2]
 
     def eval(self, x, t, s):
         rp = self.reparam_at(x)
@@ -292,41 +247,34 @@ class ReparametrizedFamily(LoopFamily):
         ua, ub = float(rp.phi(a)), float(rp.phi(b))
         if ub <= ua:
             return np.zeros(self.dim_f)
-        need = int(np.ceil((ub - ua) * self._m_unit / 1024.0)) * 1024
-        M = max(M, need, 1024)
+        M = max(M, int(np.ceil((ub - ua) * _U_PANELS / 1024.0)) * 1024, 1024)
         return quad_integral(lambda u: self.inner.eval(x, t, u) * rp.density_normalized(u)[:, None], ua, ub, M)
 
     def average_at(self, x, t, M=4096):
-        return self.integral_over(x, t, 0.0, 1.0, M=M)
+        """The substitution identity in closed form (M is not used); the t=1
+        average is the one the weights were solved for."""
+        w, avg1, _ = self._entry(x)
+        if t == 1.0:
+            return avg1
+        loop = self.inner.loop_at(x, t)
+        return (w @ _mollifier_dots(loop, _CENTERS) + LEAK * average(loop, _ABAR_M)) / (1.0 + LEAK)
 
 
 def reparametrize_family(family, g, grid):
     """Reparametrise a surrounding family so its t=1 averages equal g at every x.
 
-    Each node keeps the centres of a surround certificate of its t=1 loop.
-    Those centres serve every cell the node is a corner of, so they are
-    checked by a weight solve at every node of the node's 3^d neighbourhood;
-    a failed solve raises NoConvergence naming both nodes and carrying the
-    weights and residual.
+    Every node's t=1 loop must surround g(x) on samples (NotSurrounded
+    otherwise) and pass one weight solve (NoConvergence otherwise, carrying
+    the weights and residual); either error names the node.  Off the nodes
+    the weights are solved when x is first read.
     """
-    nodes = grid.nodes()
-    loops = [family.loop_at(x, 1.0) for x in nodes]
-    targets = [np.asarray(g(x), dtype=float).ravel() for x in nodes]
-    centers = [surround_certificate(lp, gx, M=_CERTIFICATE_M)[0] for lp, gx in zip(loops, targets)]
-    # flat node indices padded by one node per axis: wrapped on periodic
-    # axes, repeated at the ends of the others
-    flat = np.arange(len(nodes)).reshape(grid.shape)
-    for ax in range(grid.dim):
-        pad = [(1, 1) if i == ax else (0, 0) for i in range(grid.dim)]
-        flat = np.pad(flat, pad, mode="wrap" if grid.periodic[ax] else "edge")
-    for j, idx in enumerate(itertools.product(*map(range, grid.shape))):
-        for i in np.unique(flat[tuple(slice(k, k + 3) for k in idx)]):
-            try:
-                adjust_weights(loops[j], targets[j], centers[i])
-            except NoConvergence as err:
-                raise NoConvergence(
-                    f"centres of node {nodes[i]} at neighbour {nodes[j]}: {err}",
-                    best_residual=err.best_residual,
-                    best_value=err.best_value,
-                ) from err
-    return ReparametrizedFamily(family, DensityField(grid, family, g, centers))
+    for x in grid.nodes():
+        loop = family.loop_at(x, 1.0)
+        gx = np.asarray(g(x), dtype=float).ravel()
+        try:
+            surround_certificate(loop, gx, M=_CERTIFICATE_M)
+            adjust_weights(loop, gx, _CENTERS)
+        except (NotSurrounded, NoConvergence) as err:
+            err.args = (f"node {x}: {err}",)
+            raise
+    return ReparametrizedFamily(family, g)

@@ -8,36 +8,42 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from ample import convexity
-from ample.convexity import (
-    AffineBasis,
-    barycentric_coords,
-    flood_fill_component,
-    is_interior_of_hull,
-    surrounds,
-)
-from ample.errors import SeedOutside, SingularBasis
+from ample.convexity import flood_fill_component, surrounds
+from ample.errors import SeedOutside
 from ample.grids import bfs
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def affine_coords(points, q):
+    """Barycentric coordinates of q in the affine basis `points` (d + 1 rows)."""
+    pts = np.asarray(points, dtype=float)
+    return np.linalg.solve(np.vstack([pts.T, np.ones(len(pts))]), np.append(q, 1.0))
+
+
 class TestBarycentric:
+    """`surrounds` returns the barycentric coordinates of the target in the
+    basis it certifies."""
+
     def test_triangle_by_hand(self):
-        b = AffineBasis(TRIANGLE)
-        assert np.allclose(barycentric_coords(b, [0.25, 0.25]), [0.5, 0.25, 0.25], atol=1e-12)
+        idx, w = surrounds(TRIANGLE, [0.25, 0.25], 1e-6)
+        assert idx == (0, 1, 2)
+        assert np.allclose(w, [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_vertices_are_indicators(self):
-        b = AffineBasis(TRIANGLE)
+        # a vertex has one coordinate 1 and the others 0, so no floor holds;
+        # just inside it, its coordinate tends to 1
         for i in range(3):
-            w = barycentric_coords(b, TRIANGLE[i])
+            assert surrounds(TRIANGLE, TRIANGLE[i], 1e-9) is None
+            q = 0.998 * TRIANGLE[i] + 0.001 * (TRIANGLE.sum(axis=0) - TRIANGLE[i])
+            _, w = surrounds(TRIANGLE, q, 1e-6)
             e = np.zeros(3)
             e[i] = 1.0
-            assert np.allclose(w, e, atol=1e-12)
+            assert np.allclose(w, 0.998 * e + 0.001 * (1.0 - e), atol=1e-12)
 
     def test_centroid(self):
-        b = AffineBasis(TRIANGLE)
-        w = barycentric_coords(b, TRIANGLE.mean(axis=0))
+        _, w = surrounds(TRIANGLE, TRIANGLE.mean(axis=0), 1e-6)
         assert np.allclose(w, np.full(3, 1.0 / 3.0), atol=1e-12)
 
     def test_round_trip_random(self):
@@ -45,31 +51,31 @@ class TestBarycentric:
         for _ in range(50):
             d = int(rng.integers(1, 5))
             pts = rng.normal(size=(d + 1, d))
-            try:
-                b = AffineBasis(pts)
-            except SingularBasis:
+            if abs(np.linalg.det(np.vstack([pts.T, np.ones(d + 1)]))) <= 1e-3:
                 continue
-            w = rng.normal(size=d + 1)
-            w = w / w.sum() if abs(w.sum()) > 0.1 else np.full(d + 1, 1.0 / (d + 1))
-            q = w @ pts
-            assert np.linalg.norm(barycentric_coords(b, q) - w) <= 1e-8
+            w = rng.dirichlet(np.ones(d + 1))
+            if w.min() < 1e-3:
+                continue
+            res = surrounds(pts, w @ pts, 1e-6)
+            assert res is not None and res[0] == tuple(range(d + 1))
+            assert np.linalg.norm(res[1] - w) <= 1e-8
 
     def test_singular(self):
-        with pytest.raises(SingularBasis):
-            AffineBasis(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+        # affinely dependent points certify nothing, even on their segment
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        assert surrounds(pts, [1.0, 1.0], 1e-6) is None
 
 
 class TestInterior:
     def test_centroid_true(self):
-        assert is_interior_of_hull(AffineBasis(TRIANGLE), TRIANGLE.mean(axis=0), 1e-3)
+        assert surrounds(TRIANGLE, TRIANGLE.mean(axis=0), 1e-3) is not None
 
     def test_vertex_false(self):
-        assert not is_interior_of_hull(AffineBasis(TRIANGLE), TRIANGLE[0], 1e-3)
+        assert surrounds(TRIANGLE, TRIANGLE[0], 1e-3) is None
 
     def test_mu_threshold(self):
-        b = AffineBasis(TRIANGLE)
-        assert is_interior_of_hull(b, [0.25, 0.25], 0.2)
-        assert not is_interior_of_hull(b, [0.25, 0.25], 0.3)
+        assert surrounds(TRIANGLE, [0.25, 0.25], 0.2) is not None
+        assert surrounds(TRIANGLE, [0.25, 0.25], 0.3) is None
 
 
 FLOORS = (5e-2, 1e-2, 1e-3, 1e-6)
@@ -153,8 +159,7 @@ class TestSurrounds:
             if res is None:
                 continue
             idx, w = res
-            basis = AffineBasis(pts[list(idx)])
-            assert is_interior_of_hull(basis, v, 1e-6)
+            assert affine_coords(pts[list(idx)], v).min() >= 1e-6
             assert np.linalg.norm(w @ pts[list(idx)] - v) <= 1e-8
 
     @settings(max_examples=60, deadline=None)

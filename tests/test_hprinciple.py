@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ample.hprinciple import (
     Landscape,
     StepLandscape,
     _choose_step_n,
+    improve,
     verify_conclusions,
 )
 from ample.jets import DualPair, JetSection, Relation, update
@@ -167,3 +170,32 @@ class TestVerifyConclusions:
             F0 = (hom if isinstance(hom, Homotopy) else hom.stages[0]).section
             got = verify_conclusions(hom, F0, R, L, 0.05, t_values=t_values)
             assert_bit_equal(got, verify_conclusions(PerTimeOracle(hom), F0, R, L, 0.05, t_values=t_values))
+
+
+@functools.cache
+def immersed_interval():
+    """improve on immersions of [0, 1] into the plane (|phi| > 1e-3) from the
+    holonomic F0 = ((x, 0), (1, 0)) with eps 0.1, K0 = [1/4, 3/4] and K1
+    everything, on 8 cells."""
+    grid = box_grid([0.0], [1.0], [8])
+    L = Landscape(grid=grid, k0=GridRegion.from_box(grid, [0.25], [0.75]), k1=GridRegion.full(grid))
+    R = Relation(
+        member=lambda jet: np.linalg.norm(jet.phi) > 1e-3,
+        margin=lambda jet: max(0.0, float(np.linalg.norm(jet.phi)) - 1e-3),
+    )
+    F0 = JetSection(f=lambda x: np.array([x[0], 0.0]), phi=lambda x: np.array([[1.0], [0.0]]))
+    return R, F0, L, improve(R, F0, L, 0.1)
+
+
+class TestImprove:
+    def test_holonomic_interval_verifies(self):
+        R, F0, L, hom = immersed_interval()
+        assert verify_conclusions(hom, F0, R, L, 0.1)["all_passed"]
+
+    def test_holonomic_off_the_nodes(self):
+        # the analytic holonomy defect |(Df_1 - phi_1) v| of the final section
+        # at points of K0 off the nodes (N pi(x) is an integer at every node)
+        _, _, _, hom = immersed_interval()
+        sec = hom.section_at(1.0)
+        xs = np.random.default_rng(0).uniform(0.25, 0.75, (200, 1))
+        assert max(float(np.linalg.norm(sec.d_f(x)[:, 0] - sec.phi(x)[:, 0])) for x in xs) <= 1e-6

@@ -97,9 +97,9 @@ class TestSurroundingLoopAt:
         res = surrounding_loop_at(omega, [1.0, 0.0], [0.0, 0.0], ([-2.0, -2.0], [2.0, 2.0]), 0.25)
         vals = res.family.eval(None, 1.0, np.arange(256) / 256)
         assert all(omega(v) for v in vals)
-        # oracle: barycentric certificate of the returned basis
-        b = convexity.AffineBasis(res.basis_points)
-        assert convexity.is_interior_of_hull(b, [0.0, 0.0], 1e-6)
+        # oracle: barycentric coordinates of the returned basis, by one solve
+        pts = res.basis_points
+        assert np.linalg.solve(np.vstack([pts.T, np.ones(len(pts))]), [0.0, 0.0, 1.0]).min() >= 1e-6
 
     def test_target_outside_hull(self, monkeypatch):
         scans = []
@@ -242,8 +242,7 @@ class TestRobustSurround:
                 return loop(s) + amp * np.cos(2 * np.pi * k * s + phase)[:, None] * d
 
             vals = Loop(pert)(s_c)
-            b = convexity.AffineBasis(vals)
-            w = convexity.barycentric_coords(b, [0.1, -0.05])
+            w = np.linalg.solve(np.vstack([vals.T, np.ones(len(vals))]), [0.1, -0.05, 1.0])
             assert w.min() > 0
 
 

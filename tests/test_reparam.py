@@ -2,23 +2,16 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ample import corrugation, loops, reparam
 from ample.corrugation import CorrugationJob, sup_norms
-from ample.errors import DegenerateWeights, NoConvergence
+from ample.errors import NoConvergence, NotSurrounded
 from ample.grids import box_grid
 from ample.jets import DualPair, fd_jacobian
 from ample.loops import Loop, average
-from ample.reparam import (
-    CircleReparam,
-    DeltaMollifier,
-    DensityField,
-    adjust_weights,
-    reparam_from_weights,
-    reparametrize_family,
-)
+from ample.reparam import CircleReparam, DeltaMollifier, adjust_weights, reparametrize_family
 from ample.smooth import quad_integral
 
 
@@ -87,42 +80,73 @@ class TestMollifier:
         assert 3.0 <= ratio <= 5.0
 
 
+def mixed_reparam(weights, centers, eta=reparam._ETA):
+    """CircleReparam of the density (LEAK + sum_i w_i m_i) / (1 + LEAK), the
+    m_i unit-mass mollifiers of half-width eta at any centres."""
+    w = np.asarray(weights, dtype=float)
+    m = DeltaMollifier(np.asarray(centers, dtype=float), eta)
+    return CircleReparam(lambda s: (reparam.LEAK + np.tensordot(w, m(s), axes=1)) / (1.0 + reparam.LEAK), eta)
+
+
 class TestReparamFromWeights:
     def test_single_center_concentrates(self):
         lp = circle_loop()
         eta = 0.05
-        rp = reparam_from_weights([1.0], [0.0], eta=eta)
+        rp = mixed_reparam([1.0], [0.0], eta=eta)
         avg = subst_average(lp, rp)
         # everything but the leak mass sits within eta of s = 0
         assert np.linalg.norm(avg - lp(np.array([0.0]))[0]) <= 4.0 * (eta**2 + reparam.LEAK)
 
     def test_uniform_quarters_average_zero(self):
         lp = circle_loop()
-        rp = reparam_from_weights(np.full(4, 0.25), [0.0, 0.25, 0.5, 0.75])
+        rp = mixed_reparam(np.full(4, 0.25), [0.0, 0.25, 0.5, 0.75])
         assert np.linalg.norm(subst_average(lp, rp)) <= 1e-12  # symmetry
 
     def test_phi_fixes_origin_and_degree(self):
-        rp = reparam_from_weights([0.5, 0.3, 0.2], [0.1, 0.45, 0.8])
+        rp = mixed_reparam([0.5, 0.3, 0.2], [0.1, 0.45, 0.8])
         assert abs(float(rp.phi(0.0))) <= 1e-12
-        t = np.linspace(-1.0, 2.0, 301)
         assert abs(float(rp.phi(1.25) - rp.phi(0.25)) - 1.0) <= 1e-9
         ph = rp.phi(np.linspace(0, 1, 4001))
         assert np.all(np.diff(ph) > 0)
 
     def test_degenerate_weights(self):
-        with pytest.raises(DegenerateWeights):
-            reparam_from_weights([1e-6, 1.0 - 1e-6], [0.1, 0.6])
-        with pytest.raises(DegenerateWeights):
-            reparam_from_weights([0.5, 0.5], [0.3, 0.3])
+        # no floor: a weight of 1e-6 still gives a strictly increasing phi
+        # that spends almost no time near its centre
+        rp = mixed_reparam([1e-6, 1.0 - 1e-6], [0.1, 0.6])
+        ph = rp.phi(np.linspace(0, 1, 4001))
+        assert np.all(np.diff(ph) > 0)
+        assert np.linalg.norm(subst_average(circle_loop(), rp) - circle_loop()(0.6)[0]) <= 2e-3
+        # coincident centres span no hull: a target off their common dot is
+        # refused, with the weights reached summing to 1
+        with pytest.raises(NoConvergence) as info:
+            adjust_weights(circle_loop(), [0.0, 0.0], [0.3, 0.3])
+        w = info.value.best_value
+        assert w.min() >= 0 and abs(float(w.sum()) - 1.0) <= 1e-12 and info.value.best_residual > 0.5
+
+    def test_mix_density_reads_nearest_centre(self):
+        # the fixed-centre density against the sum over every mollifier
+        w = np.random.default_rng(4).dirichlet(np.ones(64))
+        s = np.concatenate([np.linspace(-1.0, 2.0, 30001), (np.arange(64) + 0.5) / 64, np.arange(64) / 64])
+        want = (reparam.LEAK + w @ DeltaMollifier(reparam._CENTERS, reparam._ETA)(s)) / (1.0 + reparam.LEAK)
+        assert np.max(np.abs(reparam._mix_density(w)(s) - want)) <= 1e-12 * np.max(want)
 
 
 def assert_feasible(lp, g, centers, w):
-    """w lies on the floored simplex and reparametrises lp to average g."""
-    assert w.min() >= reparam.WEIGHT_FLOOR
+    """w is positive, sums to 1 and reparametrises lp to average g."""
+    assert w.min() > 0
     assert abs(float(w.sum()) - 1.0) <= 1e-12
-    rp = reparam_from_weights(w, centers)
+    rp = mixed_reparam(w, centers)
     assert np.linalg.norm(subst_average(lp, rp) - g) <= 1e-8
     assert abs(float(rp.phi(0.0))) <= 1e-9
+
+
+def affine_weights(lp, g, centers):
+    """The weights of d + 1 centres from the affine system of the average:
+    (w @ a + LEAK abar) / (1 + LEAK) = g and sum(w) = 1."""
+    a = reparam._mollifier_dots(lp, centers)
+    abar = average(lp, 2048)
+    J = np.vstack([a.T, np.ones(len(centers))])
+    return np.linalg.solve(J, np.append((1.0 + reparam.LEAK) * np.asarray(g) - reparam.LEAK * abar, 1.0))
 
 
 class TestAdjustWeights:
@@ -135,14 +159,14 @@ class TestAdjustWeights:
     def test_circle_quarters(self):
         lp = circle_loop()
         w = adjust_weights(lp, [0.0, 0.0], [0.0, 0.25, 0.5, 0.75])
-        rp = reparam_from_weights(w, [0.0, 0.25, 0.5, 0.75])
+        rp = mixed_reparam(w, [0.0, 0.25, 0.5, 0.75])
         assert np.linalg.norm(subst_average(lp, rp)) <= 1e-8
 
     @settings(max_examples=25, deadline=None)
     @given(radius=st.floats(0.0, 0.998), angle=st.floats(0.0, 1.0))
     @example(radius=np.hypot(0.2, -0.1), angle=np.arctan2(-0.1, 0.2) / (2 * np.pi) + 1.0)
     # just inside the chord of the 64 samples at angle 0 and 1/64: the
-    # mollified basis no longer surrounds g, so a weight must drop below 0
+    # mollified dots no longer surround g, so no positive weights exist
     @example(radius=np.cos(np.pi / 64) - 1e-6, angle=1.0 / 128)
     def test_offcenter_target(self, radius, angle):
         lp = circle_loop()
@@ -151,30 +175,31 @@ class TestAdjustWeights:
         try:
             w = adjust_weights(lp, g, centers)
         except NoConvergence as err:
-            # the exact solution of the affine system, carried with its residual
+            # the weights reached lie on the simplex, and no positive ones
+            # exist: the affine solve of the d + 1 centres has a negative weight
             w = err.best_value
-            assert w.min() < reparam.WEIGHT_FLOOR
-            assert abs(float(w.sum()) - 1.0) <= 1e-12 and err.best_residual <= 1e-8
+            assert w.min() >= 0 and abs(float(w.sum()) - 1.0) <= 1e-12
+            assert err.best_residual > reparam._SOLVE_TOL
+            assert affine_weights(lp, g, centers).min() < 0
             return
         assert_feasible(lp, g, centers, w)
 
     def test_infeasible_target(self):
         lp = circle_loop()
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence) as info:
             adjust_weights(lp, [5.0, 0.0], [0.0, 0.25, 0.5, 0.75])
+        w = info.value.best_value
+        assert w.min() >= 0 and abs(float(w.sum()) - 1.0) <= 1e-12 and info.value.best_residual > 3.0
 
     def test_jacobian_matches_finite_differences(self):
         # the average is affine in the weights; compare the solver's linear
         # model against finite differences along simplex directions
         lp = circle_loop(center=(0.3, 0.1))
         centers = np.array([0.05, 0.3, 0.62])
-        eta = reparam._mollifier_width(centers)
-        a = reparam._mollifier_dots(lp, centers, eta)
-        abar = average(lp, 2048)
+        a = reparam._mollifier_dots(lp, centers)
 
         def avg_of(w):
-            rp = CircleReparam(reparam._mix_density(w, centers, eta), eta)
-            return subst_average(lp, rp)
+            return subst_average(lp, mixed_reparam(w, centers))
 
         h = 1e-4
         w0 = np.array([0.5, 0.25, 0.25])
@@ -192,7 +217,7 @@ class TestAdjustWeights:
         g = np.array([0.1, 0.25])
         centers, _coords, _ = loops.surround_certificate(lp, g, M=64)
         w = adjust_weights(lp, g, centers)
-        rp = reparam_from_weights(w, centers)
+        rp = mixed_reparam(w, centers)
         avg = subst_average(lp, rp)
         samples = lp(np.arange(64) / 64)
         # oracle: nonnegative weights on the samples summing to 1 that hit avg
@@ -202,31 +227,26 @@ class TestAdjustWeights:
         _, rnorm = nnls(A, np.append(avg, scale))
         assert rnorm <= 1e-9 * scale
 
-
-class TestDensityField:
     @settings(max_examples=40, deadline=None)
-    @given(dim=st.sampled_from([1, 2]), data=st.data())
-    def test_matches_blend_of_node_densities(self, dim, data):
-        cells = data.draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim))
-        grid = box_grid([0.0] * dim, [1.0] * dim, cells, periodic=(True,) * dim)
+    @given(dim=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_simplex_weights_match_affine_solve(self, dim, data):
+        # with d + 1 centres the affine system has one solution, and the
+        # max-entropy weights must be it
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # jittered thirds of the circle: every node's centres surround the
-        # target, which stays within 0.1 of the loop's centre
-        centers = [rng.uniform() + np.arange(3) / 3 + rng.uniform(-0.05, 0.05, 3) for _ in grid.nodes()]
-        fam = TranslatedCircleFamily()
-        g = lambda x: fam.center(x) + 0.1 * np.array([np.cos(2 * np.pi * x.sum()), np.sin(2 * np.pi * x.sum())])
-        field = DensityField(grid, fam, g, centers)
-        x = np.array(data.draw(st.lists(st.floats(-1.0, 2.0), min_size=dim, max_size=dim)))
-        s = np.linspace(-0.5, 1.5, 801)
-        # oracle: each corner node's own density with weights solved at x,
-        # blended by the corner weights
-        want = 0.0
-        for flat, wt in field._corners(x):
-            c = centers[flat]
-            w = adjust_weights(fam.loop_at(x, 1.0), g(x), c)
-            want = want + wt * reparam._mix_density(w, c, reparam._mollifier_width(c))(s)
-        got = field.density_at(x)(s)
-        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        shift = rng.normal(size=dim)
+        waves = lambda s: np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s), np.sin(4 * np.pi * s)], axis=1)
+        lp = Loop(lambda s: shift + waves(s)[:, :dim])
+        centers = np.sort(rng.uniform(0.0, 1.0, dim + 1))
+        a = reparam._mollifier_dots(lp, centers)
+        # an average residual of at most 1e-8 bounds the weight error by
+        # 1e-8 over the smallest singular value of the affine system
+        sigma = np.linalg.svd(np.vstack([a.T, np.ones(dim + 1)]), compute_uv=False)[-1]
+        assume(sigma > 1e-2)
+        want = rng.dirichlet(np.ones(dim + 1))
+        g = (want @ a + reparam.LEAK * average(lp, 2048)) / (1.0 + reparam.LEAK)
+        w = adjust_weights(lp, g, centers)
+        assert np.max(np.abs(w - affine_weights(lp, g, centers))) <= 2e-8 / sigma
+        assert np.max(np.abs(w - want)) <= 2e-8 / sigma
 
 
 class TranslatedCircleFamily(loops.LoopFamily):
@@ -305,16 +325,27 @@ class TestReparametrizeFamily:
             assert np.linalg.norm(fam.average_at(xd, 1.0) - g(xd)) <= 1e-8
 
     def test_coarse_grid_raises_at_build(self):
-        # the target turns half a revolution per cell, so a node's
-        # certificate no longer surrounds the target at the neighbouring nodes
+        # the target runs outside the loop (radius 1.2 about its centre), so
+        # the first node's certificate refuses it and the error names the node
         fam = TranslatedCircleFamily()
-        g = lambda x: fam.center(x) + 0.8 * np.array([np.cos(4 * np.pi * x[0]), np.sin(4 * np.pi * x[0])])
+        g = lambda x: fam.center(x) + 1.2 * np.array([np.cos(4 * np.pi * x[0]), np.sin(4 * np.pi * x[0])])
         grid = box_grid([0.0], [1.0], [4], periodic=(True,))
-        with pytest.raises(NoConvergence) as info:
+        with pytest.raises(NotSurrounded, match=r"^node \[0\.\]: "):
+            reparametrize_family(fam, g, grid)
+
+    def test_weight_solve_checked_at_build(self):
+        # inside the chord of the 64 samples at angle 0 and 1/64 from the
+        # fourth node on: the samples surround g, the mollified dots do not
+        fam = TranslatedCircleFamily()
+        r = np.cos(np.pi / 64) - 1e-6
+        grid = box_grid([0.0], [1.0], [8], periodic=(True,))
+        chord = r * np.array([np.cos(np.pi / 64), np.sin(np.pi / 64)])
+        g = lambda x: fam.center(x) + (0.0 if x[0] < 0.375 else 1.0) * chord
+        with pytest.raises(NoConvergence, match=r"^node \[0\.375\]: ") as info:
             reparametrize_family(fam, g, grid)
         w = info.value.best_value
-        assert w.min() < reparam.WEIGHT_FLOOR and abs(float(w.sum()) - 1.0) <= 1e-12
-        assert any(f"centres of node {x} at neighbour" in str(info.value) for x in grid.nodes())
+        assert w.min() >= 0 and abs(float(w.sum()) - 1.0) <= 1e-12
+        assert info.value.best_residual > reparam._SOLVE_TOL
 
     def test_direct_and_substitution_agree(self):
         fam = TranslatedCircleFamily()
@@ -324,6 +355,62 @@ class TestReparametrizeFamily:
         direct = average(out.loop_at(x, 1.0), 262144)
         fast = out.average_at(x, 1.0)
         assert np.linalg.norm(direct - fast) <= 1e-6
+
+
+class EllipseCircleFamily(loops.LoopFamily):
+    """gamma_x^t(s) = c(x) + (1, 0) + t ((cos 2 pi s, sin 2 pi s) - (1, 0)):
+    the t=1 loop is the unit circle about c(x) = (ax cos 2 pi x, ay sin 2 pi x)."""
+
+    dim_f = 2
+
+    def __init__(self, ax, ay):
+        self.ax, self.ay = ax, ay
+
+    def center(self, x):
+        u = 2 * np.pi * float(np.atleast_1d(x)[0])
+        return np.array([self.ax * np.cos(u), self.ay * np.sin(u)])
+
+    def eval(self, x, t, s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        ring = np.stack([np.cos(2 * np.pi * s) - 1.0, np.sin(2 * np.pi * s)], axis=-1)
+        return self.center(x) + np.array([1.0, 0.0]) + t * ring
+
+
+class TestTurningTargets:
+    """Circles whose centre moves on an ellipse, with targets turning once
+    about the centre, on periodic grids (the benchmark's reparam inputs)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        ax=st.floats(0.2, 0.4),
+        ay=st.floats(0.1, 0.3),
+        amplitude=st.floats(0.18, 0.22),
+        phase=st.floats(0.0, 2 * np.pi),
+        turns=st.sampled_from([1, -1]),
+        cells=st.just(32),
+        cell=st.integers(0, 7),
+        offset=st.floats(0.05, 0.95),
+    )
+    # the drawn inputs of benchmark seed 12
+    @example(
+        ax=0.25016489162168926, ay=0.2893505885718849, amplitude=0.18757281538159046,
+        phase=1.1265211556425585, turns=1, cells=32, cell=3, offset=0.5,
+    )
+    # TranslatedCircleFamily with a target of radius r turning once about the
+    # centre, read at x' = 1/4 - x: r = 0.1 on 8 cells and r = 0.2 on 16 cells
+    @example(ax=0.5, ay=0.25, amplitude=0.1, phase=np.pi / 2, turns=-1, cells=8, cell=2, offset=0.3)
+    @example(ax=0.5, ay=0.25, amplitude=0.2, phase=np.pi / 2, turns=-1, cells=16, cell=5, offset=0.7)
+    def test_build_and_average_off_nodes(self, ax, ay, amplitude, phase, turns, cells, cell, offset):
+        fam = EllipseCircleFamily(ax, ay)
+
+        def g(x):
+            u = turns * 2 * np.pi * float(np.atleast_1d(x)[0]) + phase
+            return fam.center(x) + amplitude * np.array([np.cos(u), np.sin(u)])
+
+        out = reparametrize_family(fam, g, box_grid([0.0], [1.0], [cells], periodic=(True,)))
+        x = np.array([(cell * (cells // 8) + offset) / cells])
+        assert np.linalg.norm(out.average_at(x, 1.0) - g(x)) <= 1e-8
+        assert np.linalg.norm(average(out.loop_at(x, 1.0), 262144) - g(x)) <= 1e-6
 
 
 def sup_norms_oracle(job, points, t_values):
