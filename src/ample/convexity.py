@@ -8,7 +8,14 @@ the target strictly positive coordinates, and the vertices of a square
 around its center show the two notions genuinely differ.  `surrounds`
 takes one floor on the coordinates or a tuple of floors, and
 answers every floor of a tuple from one scan of the subsets, made in
-chunks of stacked determinants and solves.
+chunks of stacked determinants and solves.  A target outside the hull of
+the points has no basis at any floor; `loops._candidate_order` refuses it
+from the hull's facet equations, so the scan runs only for targets inside
+the hull or within roundoff of it.
+
+`flood_fill_component` builds one read-only table of node coordinates per
+fill and hands the predicate its rows, so a predicate call costs what the
+predicate costs.
 """
 
 import itertools
@@ -106,9 +113,11 @@ class GridComponent:
 def flood_fill_component(member, seed, box, h):
     """Maximal axis-connected grid component containing (the node nearest) seed.
 
-    box is a pair (lo, hi); nodes are lo + k*h per axis.  Raises SeedOutside
-    when member(seed) fails, or when no node within one cell of the seed
-    satisfies the predicate.
+    box is a pair (lo, hi); nodes are lo + k*h per axis.  After the seed,
+    member sees read-only rows equal to grid.node(idx); when the node nearest
+    the seed is a member, each node is asked at most once.  Raises
+    SeedOutside when member(seed) fails, or when no node within one cell of
+    the seed satisfies the predicate.
     """
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     if h <= 0:
@@ -124,6 +133,9 @@ def flood_fill_component(member, seed, box, h):
     grid = Grid(axes)
     shape = grid.shape
     dim = grid.dim
+    # coords[idx] is grid.node(idx); read-only, so a predicate cannot corrupt it
+    coords = grid.nodes().reshape(shape + (dim,))
+    coords.flags.writeable = False
 
     start = tuple(
         int(min(max(round((seed[i] - lo[i]) / h), 0), shape[i] - 1)) for i in range(dim)
@@ -136,13 +148,13 @@ def flood_fill_component(member, seed, box, h):
             candidates.append(nb)
     start_node = None
     for cand in candidates:
-        if member(grid.node(cand)):
+        if member(coords[cand]):
             start_node = cand
             break
     if start_node is None:
         raise SeedOutside("no grid node near the seed satisfies the predicate")
 
-    reached = bfs(shape, start_node, lambda nb: member(grid.node(nb)))
+    reached = bfs(shape, start_node, lambda nb: member(coords[nb]))
     mask = np.zeros(shape, dtype=bool)
     mask[tuple(zip(*reached))] = True
     return GridComponent(grid=grid, h=float(h), box=(lo, hi), region=GridRegion(grid, mask))

@@ -145,18 +145,35 @@ def update(p: DualPair, phi, w):
 
     Returns phi + (w - phi v) (x) pi.
     """
+    phi = _check_phi(p, phi)
+    return _send(p, phi, phi @ p.v, w)
+
+
+def _check_phi(p: DualPair, phi):
     phi = np.asarray(phi, dtype=float)
-    w = np.asarray(w, dtype=float).ravel()
-    if phi.shape[1] != p.dim or w.size != phi.shape[0]:
+    if phi.shape[1] != p.dim:
         raise ValueError("dimension mismatch in update")
-    return phi + np.outer(w - phi @ p.v, p.pi)
+    return phi
+
+
+def _send(p: DualPair, phi, phi_v, w):
+    """update(p, phi, w) given the product phi_v = phi v."""
+    w = np.asarray(w, dtype=float).ravel()
+    if w.size != phi.shape[0]:
+        raise ValueError("dimension mismatch in update")
+    return phi + (w - phi_v)[:, None] * p.pi
 
 
 def relation_slice(R: Relation, sigma: OneJet, p: DualPair):
-    """Predicate on F selecting the w with (x, y, update(p, phi, w)) in R."""
+    """Predicate on F selecting the w with (x, y, update(p, phi, w)) in R.
+
+    phi v is computed once, so a call costs one rank-one update and R.member.
+    """
+    phi = _check_phi(p, sigma.phi)
+    phi_v = phi @ p.v
 
     def member(w):
-        return R.member(OneJet(sigma.x, sigma.y, update(p, sigma.phi, w)))
+        return R.member(OneJet(sigma.x, sigma.y, _send(p, phi, phi_v, w)))
 
     return member
 

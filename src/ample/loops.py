@@ -315,8 +315,15 @@ _CANDIDATE_CAP = 48  # points handed to the subset scan of `convexity.surrounds`
 
 
 def _candidate_order(points, target):
-    """Hull vertices plus nearest points, ordered by distance to the target."""
+    """Hull vertices plus nearest points, ordered by distance to the target.
+
+    Empty when the target lies outside the hull of all the points by more
+    than Qhull roundoff: no subset then gives it positive coordinates, so
+    there is nothing to scan.  Only a hull that Qhull builds (d >= 2 and
+    more than d + 1 points in general position) can refuse.
+    """
     pts = np.asarray(points, dtype=float)
+    target = np.asarray(target, dtype=float)
     n, d = pts.shape
     idx = set()
     if n > d + 1 and d >= 2:  # Qhull needs at least 2-D data
@@ -324,10 +331,16 @@ def _candidate_order(points, target):
         from scipy.spatial import ConvexHull, QhullError
 
         try:
-            idx.update(int(i) for i in ConvexHull(pts).vertices)
+            hull = ConvexHull(pts)
         except QhullError:  # collinear or coplanar samples: nearest points only
             pass
-    dists = np.linalg.norm(pts - np.asarray(target, dtype=float), axis=1)
+        else:
+            # unit outward normals: a row's value is the distance beyond its facet
+            beyond = hull.equations[:, :-1] @ target + hull.equations[:, -1]
+            if beyond.max() > 1e-9 * (1.0 + np.abs(pts).max()):
+                return []
+            idx.update(int(i) for i in hull.vertices)
+    dists = np.linalg.norm(pts - target, axis=1)
     idx.update(int(i) for i in np.argsort(dists, kind="stable")[: max(_CANDIDATE_CAP - len(idx), d + 8)])
     order = sorted(idx, key=lambda i: (dists[i], i))
     return order[:_CANDIDATE_CAP]
@@ -392,12 +405,14 @@ def surrounding_loop_at(omega_x, beta_x, g_x, box, h):
     beta_x = np.asarray(beta_x, dtype=float).ravel()
     g_x = np.asarray(g_x, dtype=float).ravel()
     hcur = float(h)
-    last_reason = "no certified affine basis"
     for _ in range(_MAX_H_HALVINGS + 1):
         comp = convexity.flood_fill_component(omega_x, beta_x, box, hcur)
         pts = comp.points()
-        if len(pts) >= g_x.size + 1:
-            order = _candidate_order(pts, g_x)
+        reason = "no certified affine basis"
+        order = _candidate_order(pts, g_x)
+        if not order:
+            reason = f"target outside the hull of the component's {len(pts)} nodes"
+        elif len(pts) > g_x.size:
             cand = pts[order]
             found = convexity.surrounds(cand, g_x, _SURROUND_FLOORS)
             if found is not None:
@@ -421,9 +436,9 @@ def surrounding_loop_at(omega_x, beta_x, g_x, box, h):
                         component=comp,
                         h=hcur,
                     )
-                last_reason = "loop samples left omega"
+                reason = "loop samples left omega"
         hcur *= 0.5
-    raise NotSurrounded(f"surrounding loop search failed at h={hcur * 2}: {last_reason}")
+    raise NotSurrounded(f"surrounding loop search failed at h={hcur * 2}: {reason}")
 
 
 def surround_certificate(loop, g, M=64):
@@ -436,6 +451,8 @@ def surround_certificate(loop, g, M=64):
     svals = np.arange(M) / M
     pts = loop(svals)
     order = _candidate_order(pts, g)
+    if not order:
+        raise NotSurrounded("target outside the hull of the loop samples")
     cand = pts[order]
     found = convexity.surrounds(cand, g, _SURROUND_FLOORS)
     if found is None:

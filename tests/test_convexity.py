@@ -240,6 +240,35 @@ class TestFloodFill:
         with pytest.raises(SeedOutside):
             flood_fill_component(lambda y: y[0] > 0, [-0.5], ([-1.0], [1.0]), 0.25)
 
+    def test_predicate_cannot_write_the_nodes(self):
+        def member(y):
+            y[0] = 0.0
+            return True
+
+        with pytest.raises(ValueError):
+            flood_fill_component(member, [0.1, 0.1], ([-1.0, -1.0], [1.0, 1.0]), 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask=arrays(bool, array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6)), pick=st.integers(0, 215))
+    def test_each_node_asked_at_most_once(self, mask, pick):
+        members = np.argwhere(mask)
+        assume(len(members) > 0)
+        start = members[pick % len(members)]
+        # off the node, toward the inside of the box, with the start node nearest
+        seed = start + np.where(start < np.array(mask.shape) - 1, 0.2, -0.2)
+        asked = []
+
+        def member(y):
+            asked.append(y)
+            return bool(mask[tuple(np.round(y).astype(int))])
+
+        box = (np.zeros(mask.ndim), np.array(mask.shape, dtype=float) - 1.0)
+        comp = flood_fill_component(member, seed, box, 1.0)
+        assert asked[0] is seed or np.array_equal(asked[0], seed)
+        idx = [comp.grid.nearest_index(y) for y in asked[1:]]
+        assert all(np.array_equal(y, comp.grid.node(i)) for y, i in zip(asked[1:], idx))
+        assert max(Counter(idx).values()) == 1
+
 
 # boolean masks over an integer grid with at least two nodes per axis
 MASKS = arrays(bool, array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6))

@@ -101,6 +101,33 @@ class TestSlice:
         rng = np.random.default_rng(1)
         assert all(sl(rng.normal(size=1)) for _ in range(20))
 
+    def test_member_sees_the_updated_jet(self):
+        seen = []
+        R = Relation(member=lambda jet: seen.append(jet) or True)
+        rng = np.random.default_rng(2)
+        sigma = OneJet(x=rng.normal(size=3), y=rng.normal(size=2), phi=rng.normal(size=(2, 3)))
+        p = DualPair(pi=[1.0, 0.5, 0.0], v=[0.6, 0.8, 0.3])
+        sl = relation_slice(R, sigma, p)
+        ws = [rng.normal(size=2) for _ in range(10)] + [[1.5, -2.0], (0.0, 0.0)]
+        for w in ws:
+            assert sl(w)
+        for w, jet in zip(ws, seen):
+            w = np.asarray(w, dtype=float)
+            assert np.array_equal(jet.x, sigma.x) and np.array_equal(jet.y, sigma.y)
+            assert np.array_equal(jet.phi, update(p, sigma.phi, w))
+            # oracle: the rank-one formula written out
+            assert np.array_equal(jet.phi, sigma.phi + np.outer(w - sigma.phi @ p.v, p.pi))
+
+    def test_dimension_mismatch(self):
+        R = Relation(member=lambda jet: True)
+        sigma = OneJet(x=[0.0, 0.0], y=[0.0, 0.0], phi=np.eye(2))
+        sl = relation_slice(R, sigma, DualPair(pi=[1.0, 0.0], v=[1.0, 0.0]))
+        for w in (np.zeros(1), np.zeros(3)):
+            with pytest.raises(ValueError):
+                sl(w)
+        with pytest.raises(ValueError):
+            relation_slice(R, sigma, DualPair(pi=[1.0, 0.0, 0.0], v=[1.0, 0.0, 0.0]))
+
 
 class TestHolonomy:
     def test_linear_exact(self):

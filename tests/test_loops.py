@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -84,6 +84,15 @@ class TestRoundTrip:
         assert np.max(np.linalg.norm(a - b, axis=1)) <= 1e-10
 
 
+def count_calls(monkeypatch):
+    """Record the arguments of every subset scan and every flood fill."""
+    scans, fills = [], []
+    scan, fill = convexity.surrounds, convexity.flood_fill_component
+    monkeypatch.setattr(convexity, "surrounds", lambda *args: scans.append(args) or scan(*args))
+    monkeypatch.setattr(convexity, "flood_fill_component", lambda *args: fills.append(args) or fill(*args))
+    return scans, fills
+
+
 class TestSurroundingLoopAt:
     def test_full_plane(self):
         res = surrounding_loop_at(
@@ -102,14 +111,28 @@ class TestSurroundingLoopAt:
         assert np.linalg.solve(np.vstack([pts.T, np.ones(len(pts))]), [0.0, 0.0, 1.0]).min() >= 1e-6
 
     def test_target_outside_hull(self, monkeypatch):
-        scans = []
-        scan = convexity.surrounds
-        monkeypatch.setattr(convexity, "surrounds", lambda *args: scans.append(args) or scan(*args))
+        scans, fills = count_calls(monkeypatch)
         omega = lambda w: w[1] > 0
-        with pytest.raises(NotSurrounded):
+        with pytest.raises(NotSurrounded, match=r"h=0\.03125: target outside the hull of the component's \d+ nodes"):
             surrounding_loop_at(omega, [0.0, 1.0], [0.0, -1.0], ([-2.0, -2.0], [2.0, 2.0]), 0.25)
-        # every surround floor is tested in one scan per h level
-        assert 0 < len(scans) <= loops._MAX_H_HALVINGS + 1
+        # the hull refuses at every h level without a subset scan
+        assert len(scans) == 0
+        assert len(fills) == loops._MAX_H_HALVINGS + 1
+
+    def test_target_on_the_hull_is_scanned(self, monkeypatch):
+        scans, fills = count_calls(monkeypatch)
+        # the component's nodes have y >= 0, and g sits on its bottom edge
+        omega = lambda w: w[1] > -1e-12
+        with pytest.raises(NotSurrounded, match=r"h=0\.03125: no certified affine basis$"):
+            surrounding_loop_at(omega, [0.0, 1.0], [0.3, 0.0], ([-2.0, -2.0], [2.0, 2.0]), 0.25)
+        assert len(scans) == len(fills) == loops._MAX_H_HALVINGS + 1
+
+    def test_loop_leaving_omega_is_named(self):
+        # only the lattice of the finest grid is in omega: every node is, the
+        # round trip between nodes is not
+        omega = lambda w: bool(np.all(np.abs(32.0 * w - np.round(32.0 * w)) < 1e-9))
+        with pytest.raises(NotSurrounded, match=r"h=0\.03125: loop samples left omega$"):
+            surrounding_loop_at(omega, [1.0, 0.0], [0.0, 0.0], ([-2.0, -2.0], [2.0, 2.0]), 0.25)
 
 
 class TestTranslate:
@@ -246,7 +269,78 @@ class TestRobustSurround:
             assert w.min() > 0
 
 
+class TestSurroundCertificate:
+    def test_square_vertices_one_scan_for_every_floor(self, monkeypatch):
+        # the loop sits on the four vertices of a square: its centre is inside
+        # their hull, yet every vertex triangle puts it on an edge
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        loop = Loop(lambda s: square[np.floor(4.0 * np.mod(s, 1.0)).astype(int)])
+        scans, _ = count_calls(monkeypatch)
+        with pytest.raises(NotSurrounded, match="does not surround"):
+            surround_certificate(loop, [0.5, 0.5], M=64)
+        assert len(scans) == 1
+        assert scans[0][2] == loops._SURROUND_FLOORS
+
+    def test_outside_the_hull_no_scan(self, monkeypatch):
+        scans, _ = count_calls(monkeypatch)
+        with pytest.raises(NotSurrounded, match="outside the hull"):
+            surround_certificate(circle_loop(), [1.5, 0.0], M=64)
+        assert len(scans) == 0
+
+
+def candidate_order_without_refusal(points, target):
+    """The candidate order before the hull refusal: hull vertices plus the
+    nearest points, sorted by distance to the target."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    idx = set()
+    if n > d + 1 and d >= 2:
+        try:
+            idx.update(int(i) for i in ConvexHull(pts).vertices)
+        except QhullError:
+            pass
+    dists = np.linalg.norm(pts - np.asarray(target, dtype=float), axis=1)
+    idx.update(int(i) for i in np.argsort(dists, kind="stable")[: max(loops._CANDIDATE_CAP - len(idx), d + 8)])
+    return sorted(idx, key=lambda i: (dists[i], i))[: loops._CANDIDATE_CAP]
+
+
+@st.composite
+def hull_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(d + 1, {2: 16, 3: 12}[d]))
+    pts = draw(arrays(float, (n, d), elements=st.floats(-2.0, 2.0)))
+    g = draw(arrays(float, d, elements=st.floats(-3.0, 3.0)))
+    return pts, g
+
+
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.3, 0.6]])
+UNIT_CUBE = np.array([[i, j, k] for i in (0.0, 1.0) for j in (0.0, 1.0) for k in (0.0, 1.0)])
+
+
 class TestCandidateOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(case=hull_cases())
+    @example(case=(UNIT_SQUARE, np.array([0.5, -1e-8])))  # 1e-8 outside the bottom facet
+    @example(case=(UNIT_SQUARE, np.array([0.5, 0.0])))  # on the bottom facet
+    @example(case=(UNIT_CUBE, np.array([0.5, 0.5, 1.0 + 1e-8])))
+    @example(case=(UNIT_CUBE, np.array([0.25, 0.5, 1.0])))
+    def test_refusal_only_where_no_subset_surrounds(self, case):
+        pts, g = case
+        order = loops._candidate_order(pts, g)
+        if not order:
+            assert convexity.surrounds(pts, g, loops._SURROUND_FLOORS) is None
+        else:
+            assert order == candidate_order_without_refusal(pts, g)
+
+    def test_examples_on_both_sides(self):
+        # 1e-8 beyond a facet is refused, on the facet is not
+        assert loops._candidate_order(UNIT_SQUARE, [0.5, -1e-8]) == []
+        assert loops._candidate_order(UNIT_SQUARE, [0.5, 0.0]) != []
+        assert loops._candidate_order(UNIT_CUBE, [0.5, 0.5, 1.0 + 1e-8]) == []
+        assert loops._candidate_order(UNIT_CUBE, [0.25, 0.5, 1.0]) != []
+
     def test_collinear_candidates(self):
         # Qhull rejects a flat point set; the nearest points still come back
         pts = np.stack([np.linspace(-1.0, 1.0, 9), 0.5 * np.linspace(-1.0, 1.0, 9)], axis=1)
