@@ -15,7 +15,7 @@ the hull or within roundoff of it.
 
 `flood_fill_component` builds one read-only table of node coordinates per
 fill and hands the predicate its rows, so a predicate call costs what the
-predicate costs.
+predicate costs plus one set lookup, and no node is asked twice.
 """
 
 import itertools
@@ -114,10 +114,9 @@ def flood_fill_component(member, seed, box, h):
     """Maximal axis-connected grid component containing (the node nearest) seed.
 
     box is a pair (lo, hi); nodes are lo + k*h per axis.  After the seed,
-    member sees read-only rows equal to grid.node(idx); when the node nearest
-    the seed is a member, each node is asked at most once.  Raises
-    SeedOutside when member(seed) fails, or when no node within one cell of
-    the seed satisfies the predicate.
+    member sees read-only rows equal to grid.node(idx), and each node is
+    asked at most once.  Raises SeedOutside when member(seed) fails, or when
+    no node within one cell of the seed satisfies the predicate.
     """
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     if h <= 0:
@@ -147,14 +146,17 @@ def flood_fill_component(member, seed, box, h):
         if nb != start and all(0 <= nb[i] < shape[i] for i in range(dim)):
             candidates.append(nb)
     start_node = None
+    refused = set()
     for cand in candidates:
         if member(coords[cand]):
             start_node = cand
             break
+        refused.add(cand)
     if start_node is None:
         raise SeedOutside("no grid node near the seed satisfies the predicate")
 
-    reached = bfs(shape, start_node, lambda nb: member(coords[nb]))
+    # a candidate refused above is never asked again
+    reached = bfs(shape, start_node, lambda nb: nb not in refused and member(coords[nb]))
     mask = np.zeros(shape, dtype=bool)
     mask[tuple(zip(*reached))] = True
     return GridComponent(grid=grid, h=float(h), box=(lo, hi), region=GridRegion(grid, mask))

@@ -1,7 +1,7 @@
 """Period-1 loops and loop families: averages, round trips through waypoint
 chains, surrounding-loop construction over flood-filled components, the
-satisfied-or-refund interpolation, gluing, and the flagship family builder
-that combines all of it.
+patch-cover family that glues surrounding loops by satisfied-or-refund, and
+the flagship family builder that combines all of it.
 
 Families evaluate as gamma(x, t, s_array) -> (n, dim_f); everything is built
 from smooth primitives, so families are as smooth as their ingredients.
@@ -21,13 +21,11 @@ __all__ = [
     "average",
     "LoopFamily",
     "RoundTripFamily",
-    "TranslatedFamily",
-    "SatisfiedOrRefund",
-    "ChainedFamily",
+    "PatchFamily",
+    "WarpedFamily",
     "BlendedFamily",
     "surrounding_loop_at",
     "SurroundingLoopResult",
-    "glue_families",
     "surround_certificate",
     "build_loop_family",
 ]
@@ -109,86 +107,35 @@ class RoundTripFamily(LoopFamily):
         return self.path(np.clip(t, 0.0, 1.0) * tent(s))
 
 
-class TranslatedFamily(LoopFamily):
-    """gamma_x^t(s) = gamma0^t(s) + beta(x) - beta(x0): one model loop carried
-    over a neighbourhood by translating its base point."""
-
-    def __init__(self, gamma0, beta, x0):
-        self.gamma0 = gamma0
-        self.beta = beta
-        self.x0 = np.asarray(x0, dtype=float)
-        self.beta0 = np.asarray(beta(self.x0), dtype=float).ravel()
-        self.dim_f = gamma0.dim_f
-
-    def eval(self, x, t, s):
-        base = self.gamma0.eval(self.x0, t, s)
-        return base + (np.asarray(self.beta(x), dtype=float).ravel() - self.beta0)
-
-
 def _rho_refund(u):
     """Piecewise-affine strength profile: 1 for u <= 1/2, 0 for u >= 1."""
     return float(np.clip(2.0 * (1.0 - u), 0.0, 1.0))
 
 
-class SatisfiedOrRefund:
-    """Contraction of the space of surrounding families.
+class PatchFamily(LoopFamily):
+    """Model loops on a patch cover, glued by satisfied-or-refund.
 
-    delta(tau) runs gamma0 on [0, 1-tau] and gamma1 on [1-tau, 1], each
-    time-rescaled, with the homotopy grade damped so the vanishing slot
-    degenerates to the constant base loop.  At every tau the t=1 loop contains
-    a full copy of gamma0 or of gamma1, so it still surrounds.
+    Slot j runs models[j] carried to x by translation:
+    models[j](t, s) + beta(x) - offsets[j].  weights(x) returns the weights
+    tau_1(x), ..., tau_k(x) of slots 1..k as one array.  Slot j occupies the
+    width tau_j * prod_{m>j}(1 - tau_m) at the tail end of the earlier slots,
+    with homotopy grade damped by the refund profile exactly as in the
+    paper's nested construction, so every intermediate loop still contains a
+    full surrounding loop.  Flattening keeps evaluation cost linear in the
+    number of slots; beta and the weights are evaluated once per call.
     """
 
-    def __init__(self, gamma0, gamma1):
-        self.gamma0 = gamma0
-        self.gamma1 = gamma1
-        self.dim_f = gamma0.dim_f
-
-    def eval(self, tau, x, t, s):
-        s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), 1.0)
-        if tau <= 0.0:
-            return self.gamma0.eval(x, t, s)
-        if tau >= 1.0:
-            return self.gamma1.eval(x, t, s)
-        cut = 1.0 - tau
-        left = s <= cut
-        out = np.empty((len(s), self.dim_f))
-        if left.any():
-            out[left] = self.gamma0.eval(x, _rho_refund(tau) * t, s[left] / cut)
-        if (~left).any():
-            out[~left] = self.gamma1.eval(x, _rho_refund(1.0 - tau) * t, (s[~left] - cut) / tau)
-        return out
-
-    def family_at(self, tau):
-        outer = self
-
-        class _Slice(LoopFamily):
-            dim_f = outer.dim_f
-
-            def eval(self, x, t, s):
-                return outer.eval(tau, x, t, s)
-
-        return _Slice()
-
-
-class ChainedFamily(LoopFamily):
-    """Iterated satisfied-or-refund gluing, flattened for evaluation.
-
-    Levels are (tau(x), family) pairs; level j occupies the slot of width
-    tau_j * prod_{m>j}(1 - tau_m) at the tail end of the earlier slots, with
-    homotopy grade damped by the refund profile exactly as in the nested
-    construction.  Flattening keeps evaluation cost linear in the chain
-    length instead of exponential.
-    """
-
-    def __init__(self, base, levels):
-        self.base = base
-        self.levels = list(levels)
-        self.dim_f = base.dim_f
+    def __init__(self, models, offsets, beta, weights):
+        self.models = list(models)
+        self.offsets = np.asarray(offsets, dtype=float)
+        self.beta = beta
+        self.weights = weights
+        self.dim_f = self.models[0].dim_f
 
     def eval(self, x, t, s):
         s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), 1.0)
-        taus = [float(np.clip(fn(x), 0.0, 1.0)) for fn, _ in self.levels]
+        shifts = np.asarray(self.beta(x), dtype=float).ravel() - self.offsets
+        taus = np.clip(self.weights(x), 0.0, 1.0)
         k = len(taus)
         widths = np.empty(k + 1)
         grades = np.empty(k + 1)
@@ -202,10 +149,8 @@ class ChainedFamily(LoopFamily):
         widths[0] = suffix_w
         grades[0] = suffix_g
         bounds = np.cumsum(widths)
-        fams = [self.base] + [fam for _, fam in self.levels]
 
-        idx = np.searchsorted(bounds, s, side="right")
-        idx = np.clip(idx, 0, k)
+        idx = np.clip(np.searchsorted(bounds, s, side="right"), 0, k)
         out = np.empty((len(s), self.dim_f))
         for j in range(k + 1):
             sel = idx == j
@@ -213,12 +158,11 @@ class ChainedFamily(LoopFamily):
                 continue
             if widths[j] <= 0.0:
                 # zero-width slot can only be hit at a shared boundary, where
-                # every family sits at its base point
-                out[sel] = fams[j].eval(x, grades[j] * t, np.zeros(int(sel.sum())))
-                continue
-            a = bounds[j] - widths[j]
-            local = (s[sel] - a) / widths[j]
-            out[sel] = fams[j].eval(x, grades[j] * t, local)
+                # every model sits at its base point
+                local = np.zeros(int(sel.sum()))
+            else:
+                local = (s[sel] - (bounds[j] - widths[j])) / widths[j]
+            out[sel] = self.models[j].eval(None, grades[j] * t, local) + shifts[j]
         return out
 
 
@@ -242,18 +186,6 @@ class WarpedFamily(LoopFamily):
 
     def integral_over(self, x, t, a, b, M=256):
         return self.family.integral_over(x, float(self.t_map(x)), a, b, M=M)
-
-
-def glue_families(gamma0, gamma1, cutoff):
-    """Glue: equals gamma0 where cutoff = 0, gamma1 where cutoff = 1.
-
-    cutoff is a smooth function of x into [0,1]; the transition runs through
-    the satisfied-or-refund interpolation, so every intermediate loop still
-    surrounds.
-    """
-    if isinstance(gamma0, ChainedFamily):
-        return ChainedFamily(gamma0.base, gamma0.levels + [(cutoff, gamma1)])
-    return ChainedFamily(gamma0, [(cutoff, gamma1)])
 
 
 class BlendedFamily(LoopFamily):
@@ -497,15 +429,15 @@ def build_loop_family(omega, beta, g, K, box, eps, grid):
     to g(x) at every x.  Requires g = beta near K and g(x) inside the
     hull of the component of omega(x) containing beta(x).
 
-    Construction: a small star loop around the base near K (its size set by a
-    sampled safety-ball check), translated surrounding loops on a finite patch
-    cover elsewhere, glued by satisfied-or-refund with smooth cutoffs,
-    reparametrised to fix averages, and finally blended back to the base
-    point near K.
+    Construction: one `PatchFamily` whose slots are a small star loop around
+    the base near K (its size set by a sampled safety-ball check) and the
+    surrounding loops at the centres of a finite patch cover elsewhere, each
+    carried by translating its base point and weighted by a smooth cutoff
+    around its centre; then reparametrised to fix averages, and finally
+    blended back to the base point near K.
     """
     from . import reparam  # deferred: reparam builds on loops
 
-    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     nodes = grid.nodes()
     dim_f = np.asarray(beta(nodes[0]), dtype=float).size
     hx = min(grid.spacing)
@@ -515,9 +447,7 @@ def build_loop_family(omega, beta, g, K, box, eps, grid):
             raise MarginExceeded(f"beta({x}) is not in omega")
 
     have_k = K is not None and not K.is_empty
-    base_fam = None
-    chi = None
-    near_k_region = None
+    models, offsets = [], []
     if have_k:
         guard = K.dilate(6)
         worst = max(
@@ -543,22 +473,14 @@ def build_loop_family(omega, beta, g, K, box, eps, grid):
             delta *= 0.5
         if not ok:
             raise MarginExceeded("no safety radius found for the near-K loop")
-        star = RoundTripFamily(np.zeros(dim_f), 0.5 * delta * _star_waypoints(dim_f))
-
-        class _NearK(LoopFamily):
-            def __init__(self):
-                self.dim_f = dim_f
-
-            def eval(self, x, t, s):
-                return star.eval(None, t, s) + np.asarray(beta(x), dtype=float).ravel()
-
-        base_fam = _NearK()
-        near_k_region = K.dilate(2)
+        # the star slot rides on beta(x) itself: its offset is zero
+        models.append(RoundTripFamily(np.zeros(dim_f), 0.5 * delta * _star_waypoints(dim_f)))
+        offsets.append(np.zeros(dim_f))
+        near_k = K.dilate(2)
         exclusion = K.dilate(4)
-        k2 = near_k_region
 
-        def chi(x, _k2=k2, _h=hx):
-            return float(transition(_k2.distance(x), 0.25 * _h, 1.9 * _h))
+        def chi(x):
+            return float(transition(near_k.distance(x), 0.25 * hx, 1.9 * hx))
 
     else:
         exclusion = None
@@ -585,30 +507,31 @@ def build_loop_family(omega, beta, g, K, box, eps, grid):
     )
     value_h = scale / 8.0
 
-    def value_box(c):
+    for c in centers:
         b = np.asarray(beta(c), dtype=float).ravel()
         gg = np.asarray(g(c), dtype=float).ravel()
         lo_v = np.minimum(b, gg)
         hi_v = np.maximum(b, gg)
         pad = 0.6 * np.linalg.norm(hi_v - lo_v) + 4.0 * value_h
-        return lo_v - pad, hi_v + pad
+        res = surrounding_loop_at(omega(c), b, gg, (lo_v - pad, hi_v + pad), value_h)
+        models.append(res.family)
+        offsets.append(b)
 
-    fam = base_fam
-    for c in centers:
-        res = surrounding_loop_at(omega(c), beta(c), g(c), value_box(c), value_h)
-        patch = TranslatedFamily(res.family, beta, x0=c)
-
-        def tau(x, _c=c):
-            d2 = 0.0
-            for i in range(grid.dim):
-                di = grid.axis_delta(i, x[i] - _c[i])
-                d2 += di * di
-            return float(1.0 - transition(np.sqrt(d2), r_core, r_outer))
-
-        fam = patch if fam is None else glue_families(fam, patch, tau)
-
-    if fam is None:
+    if not models:
         raise MarginExceeded("empty patch cover: K fills the whole grid")
+
+    # slot 0 carries no weight: it is the star when K is non-empty, else the
+    # first patch
+    glued = np.reshape(centers[0 if have_k else 1 :], (-1, grid.dim))
+
+    def weights(x):
+        d2 = 0.0
+        for i in range(grid.dim):
+            di = grid.axis_delta(i, x[i] - glued[:, i])
+            d2 += di * di
+        return 1.0 - transition(np.sqrt(d2), r_core, r_outer)
+
+    fam = PatchFamily(models, offsets, beta, weights)
 
     # --- fix averages, then pin the family to the base point near K --------
     fam = reparam.reparametrize_family(fam, g, grid)

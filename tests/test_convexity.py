@@ -269,6 +269,19 @@ class TestFloodFill:
         assert all(np.array_equal(y, comp.grid.node(i)) for y, i in zip(asked[1:], idx))
         assert max(Counter(idx).values()) == 1
 
+    def test_refused_start_candidate_asked_once(self):
+        # node 0.0 is nearest the seed and fails; the search starts at 0.25
+        # and must not ask 0.0 again
+        asked = []
+
+        def member(y):
+            asked.append(float(y[0]))
+            return y[0] > 0.1
+
+        comp = flood_fill_component(member, [0.12], ([-1.0], [1.0]), 0.25)
+        assert asked == [0.12, 0.0, -0.25, 0.25, 0.5, 0.75, 1.0]
+        assert comp.count() == 4
+
 
 # boolean masks over an integer grid with at least two nodes per axis
 MASKS = arrays(bool, array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6))

@@ -9,11 +9,9 @@ from ample.errors import NotSurrounded
 from ample.grids import GridRegion
 from ample.loops import (
     Loop,
+    PatchFamily,
     RoundTripFamily,
-    SatisfiedOrRefund,
-    TranslatedFamily,
     average,
-    glue_families,
     surround_certificate,
     surrounding_loop_at,
 )
@@ -135,6 +133,16 @@ class TestSurroundingLoopAt:
             surrounding_loop_at(omega, [1.0, 0.0], [0.0, 0.0], ([-2.0, -2.0], [2.0, 2.0]), 0.25)
 
 
+def no_weights(x):
+    return np.empty(0)
+
+
+def translated(model, beta, x0):
+    """One model loop carried over a neighbourhood by translating its base
+    point: a one-slot PatchFamily with offset beta(x0)."""
+    return PatchFamily([model], [beta(x0)], beta, no_weights)
+
+
 class TestTranslate:
     def make_result(self):
         return surrounding_loop_at(
@@ -143,50 +151,95 @@ class TestTranslate:
 
     def test_zero_translation_identity(self):
         res = self.make_result()
-        fam = TranslatedFamily(res.family, lambda x: np.array([1.0, 0.0]), np.array([0.0]))
+        fam = translated(res.family, lambda x: np.array([1.0, 0.0]), np.array([0.0]))
         s = np.linspace(0, 1, 17)
         assert np.allclose(fam.eval(np.array([0.7]), 1.0, s), res.family.eval(None, 1.0, s))
 
     def test_base_point_follows_beta(self):
         res = self.make_result()
         beta = lambda x: np.array([1.0 + 0.2 * x[0], 0.1 * x[0]])
-        fam = TranslatedFamily(res.family, beta, np.array([0.0]))
+        fam = translated(res.family, beta, np.array([0.0]))
         x = np.array([0.5])
         assert np.allclose(fam.eval(x, 0.6, np.array([0.0]))[0], beta(x), atol=1e-12)
 
     def test_surround_persists_nearby(self):
         res = self.make_result()
         beta = lambda x: np.array([1.0 + 0.05 * x[0], 0.05 * x[0]])
-        fam = TranslatedFamily(res.family, beta, np.array([0.0]))
+        fam = translated(res.family, beta, np.array([0.0]))
         for xv in (-0.5, 0.25, 0.9):
             loop = fam.loop_at(np.array([xv]), 1.0)
             s, coords, pts = surround_certificate(loop, [0.0, 0.0], M=64)
             assert coords.min() > 0
 
 
+BASE = np.array([1.0, 0.0])
+
+
 def make_pair_of_families():
     g0 = surrounding_loop_at(
-        lambda w: True, [1.0, 0.0], [0.0, 0.0], ([-3.0, -3.0], [3.0, 3.0]), 0.5
+        lambda w: True, BASE, [0.0, 0.0], ([-3.0, -3.0], [3.0, 3.0]), 0.5
     ).family
     wps = [np.array([2.0, 1.0]), np.array([-1.5, 1.5]), np.array([-1.0, -2.0])]
-    g1 = RoundTripFamily(np.array([1.0, 0.0]), wps)
+    g1 = RoundTripFamily(BASE, wps)
     return g0, g1
+
+
+def glued(families, weights):
+    """Families based at BASE glued by satisfied-or-refund with the given
+    weights: zero offsets from a constant base, so no translation."""
+    return PatchFamily(families, [BASE] * len(families), lambda x: BASE, weights)
+
+
+def refund(g0, g1, tau):
+    """delta(tau) of two families based at BASE."""
+    return glued([g0, g1], lambda x: np.array([tau]))
+
+
+def rho_refund(u):
+    return min(max(2.0 * (1.0 - u), 0.0), 1.0)
+
+
+class NestedRefund(loops.LoopFamily):
+    """The paper's nested construction, kept as the oracle: delta(tau) runs
+    gamma0 on [0, 1 - tau] and gamma1 on [1 - tau, 1], each time-rescaled,
+    with the homotopy grade damped so the vanishing slot degenerates to the
+    constant base loop."""
+
+    def __init__(self, gamma0, gamma1, tau):
+        self.gamma0 = gamma0
+        self.gamma1 = gamma1
+        self.tau = tau
+        self.dim_f = gamma0.dim_f
+
+    def eval(self, x, t, s):
+        tau = self.tau
+        s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), 1.0)
+        if tau <= 0.0:
+            return self.gamma0.eval(x, t, s)
+        if tau >= 1.0:
+            return self.gamma1.eval(x, t, s)
+        cut = 1.0 - tau
+        left = s <= cut
+        out = np.empty((len(s), self.dim_f))
+        if left.any():
+            out[left] = self.gamma0.eval(x, rho_refund(tau) * t, s[left] / cut)
+        if (~left).any():
+            out[~left] = self.gamma1.eval(x, rho_refund(1.0 - tau) * t, (s[~left] - cut) / tau)
+        return out
 
 
 class TestSatisfiedOrRefund:
     def test_endpoints(self):
         g0, g1 = make_pair_of_families()
-        delta = SatisfiedOrRefund(g0, g1)
         s = np.linspace(0, 1, 33)
         for t in (0.0, 0.5, 1.0):
-            assert np.max(np.abs(delta.eval(0.0, None, t, s) - g0.eval(None, t, s))) <= 1e-9
-            assert np.max(np.abs(delta.eval(1.0, None, t, s) - g1.eval(None, t, s))) <= 1e-9
+            assert np.max(np.abs(refund(g0, g1, 0.0).eval(None, t, s) - g0.eval(None, t, s))) <= 1e-9
+            assert np.max(np.abs(refund(g0, g1, 1.0).eval(None, t, s) - g1.eval(None, t, s))) <= 1e-9
 
     def test_half_time_contains_both_images(self):
         # oracle: at tau = 1/2 the t=1 loop runs both inputs, rescaled by 2
         g0, g1 = make_pair_of_families()
-        delta = SatisfiedOrRefund(g0, g1)
-        fine = delta.eval(0.5, None, 1.0, np.arange(1024) / 1024)
+        fine = refund(g0, g1, 0.5).eval(None, 1.0, np.arange(1024) / 1024)
         for g in (g0, g1):
             targets = g.eval(None, 1.0, np.arange(64) / 64)
             for v in targets:
@@ -194,54 +247,177 @@ class TestSatisfiedOrRefund:
 
     def test_surrounds_at_every_tau(self):
         g0, g1 = make_pair_of_families()
-        delta = SatisfiedOrRefund(g0, g1)
         for tau in np.linspace(0, 1, 9):
-            loop = Loop(lambda s, _t=tau: delta.eval(_t, None, 1.0, s))
+            loop = refund(g0, g1, tau).loop_at(None, 1.0)
             _, coords, _ = surround_certificate(loop, [0.0, 0.0], M=128)
             assert coords.min() > 0
 
     def test_base_point_preserved(self):
         g0, g1 = make_pair_of_families()
-        delta = SatisfiedOrRefund(g0, g1)
         for tau in (0.2, 0.5, 0.9):
+            delta = refund(g0, g1, tau)
             for t in (0.0, 0.4, 1.0):
-                v = delta.eval(tau, None, t, np.array([0.0]))[0]
-                assert np.allclose(v, [1.0, 0.0], atol=1e-9)
-            v0 = delta.eval(tau, None, 0.0, np.linspace(0, 1, 17))
-            assert np.allclose(v0, [1.0, 0.0], atol=1e-9)
+                v = delta.eval(None, t, np.array([0.0]))[0]
+                assert np.allclose(v, BASE, atol=1e-9)
+            v0 = delta.eval(None, 0.0, np.linspace(0, 1, 17))
+            assert np.allclose(v0, BASE, atol=1e-9)
 
 
 class TestGlue:
     def test_cutoff_steering(self):
         g0, g1 = make_pair_of_families()
-        cut = lambda x: float(np.clip(x[0], 0.0, 1.0))
-        glued = glue_families(g0, g1, cut)
+        fam = glued([g0, g1], lambda x: np.clip(x[:1], 0.0, 1.0))
         s = np.linspace(0, 1, 33)
-        assert np.allclose(glued.eval(np.array([0.0]), 1.0, s), g0.eval(None, 1.0, s), atol=1e-12)
-        assert np.allclose(glued.eval(np.array([1.0]), 1.0, s), g1.eval(None, 1.0, s), atol=1e-12)
+        assert np.allclose(fam.eval(np.array([0.0]), 1.0, s), g0.eval(None, 1.0, s), atol=1e-12)
+        assert np.allclose(fam.eval(np.array([1.0]), 1.0, s), g1.eval(None, 1.0, s), atol=1e-12)
 
     def test_overlap_still_surrounds(self):
         g0, g1 = make_pair_of_families()
-        cut = lambda x: float(np.clip(x[0], 0.0, 1.0))
-        glued = glue_families(g0, g1, cut)
+        fam = glued([g0, g1], lambda x: np.clip(x[:1], 0.0, 1.0))
         for xv in (0.25, 0.5, 0.75):
-            loop = glued.loop_at(np.array([xv]), 1.0)
+            loop = fam.loop_at(np.array([xv]), 1.0)
             _, coords, _ = surround_certificate(loop, [0.0, 0.0], M=128)
             assert coords.min() > 0
 
     def test_chain_matches_nested(self):
         g0, g1 = make_pair_of_families()
         wps = [np.array([0.0, 2.5]), np.array([-2.0, -0.5]), np.array([2.0, -1.0])]
-        g2 = RoundTripFamily(np.array([1.0, 0.0]), wps)
-        c1 = lambda x: 0.4
-        c2 = lambda x: 0.3
-        chained = glue_families(glue_families(g0, g1, c1), g2, c2)
-        nested = SatisfiedOrRefund(SatisfiedOrRefund(g0, g1).family_at(0.4), g2)
+        g2 = RoundTripFamily(BASE, wps)
+        chained = glued([g0, g1, g2], lambda x: np.array([0.4, 0.3]))
+        nested = NestedRefund(NestedRefund(g0, g1, 0.4), g2, 0.3)
         s = np.linspace(0, 1, 257)
         for t in (0.3, 1.0):
             a = chained.eval(np.zeros(1), t, s)
-            b = nested.eval(0.3, np.zeros(1), t, s)
+            b = nested.eval(np.zeros(1), t, s)
             assert np.max(np.linalg.norm(a - b, axis=1)) <= 1e-12
+
+
+class TranslatedOracle(loops.LoopFamily):
+    """A model loop translated by beta(x) - beta(x0), one beta call per eval."""
+
+    def __init__(self, model, beta, x0):
+        self.model = model
+        self.beta = beta
+        self.beta0 = np.asarray(beta(x0), dtype=float).ravel()
+        self.dim_f = model.dim_f
+
+    def eval(self, x, t, s):
+        return self.model.eval(None, t, s) + (np.asarray(self.beta(x), dtype=float).ravel() - self.beta0)
+
+
+class StarOracle(loops.LoopFamily):
+    """A star loop riding on beta(x) itself."""
+
+    def __init__(self, star, beta):
+        self.star = star
+        self.beta = beta
+        self.dim_f = star.dim_f
+
+    def eval(self, x, t, s):
+        return self.star.eval(None, t, s) + np.asarray(self.beta(x), dtype=float).ravel()
+
+
+def chain_layout(taus):
+    """Widths and refund grades of the glue chain's slots, as the chain
+    computed them: slot j has width tau_j prod_{m>j}(1 - tau_m)."""
+    k = len(taus)
+    widths, grades = np.empty(k + 1), np.empty(k + 1)
+    suffix_w = suffix_g = 1.0
+    for j in range(k - 1, -1, -1):
+        widths[j + 1] = taus[j] * suffix_w
+        grades[j + 1] = rho_refund(1.0 - taus[j]) * suffix_g
+        suffix_w *= 1.0 - taus[j]
+        suffix_g *= rho_refund(taus[j])
+    widths[0], grades[0] = suffix_w, suffix_g
+    return widths, grades
+
+
+class ChainOracle(loops.LoopFamily):
+    """Families glued one level at a time, each level with its own weight
+    closure, flattened into slots."""
+
+    def __init__(self, base, levels):
+        self.fams = [base] + [fam for _, fam in levels]
+        self.cutoffs = [fn for fn, _ in levels]
+        self.dim_f = base.dim_f
+
+    def eval(self, x, t, s):
+        s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), 1.0)
+        widths, grades = chain_layout([float(np.clip(fn(x), 0.0, 1.0)) for fn in self.cutoffs])
+        bounds = np.cumsum(widths)
+        k = len(self.cutoffs)
+        idx = np.clip(np.searchsorted(bounds, s, side="right"), 0, k)
+        out = np.empty((len(s), self.dim_f))
+        for j in range(k + 1):
+            sel = idx == j
+            if not sel.any():
+                continue
+            if widths[j] <= 0.0:
+                out[sel] = self.fams[j].eval(x, grades[j] * t, np.zeros(int(sel.sum())))
+                continue
+            a = bounds[j] - widths[j]
+            out[sel] = self.fams[j].eval(x, grades[j] * t, (s[sel] - a) / widths[j])
+        return out
+
+
+COORD = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def patch_cases(draw):
+    n = draw(st.integers(1, 4))
+    star = draw(st.booleans())
+    models, anchors = [], []
+    for _ in range(n):
+        base = np.array([draw(COORD), draw(COORD)])
+        wps = [np.array([draw(COORD), draw(COORD)]) for _ in range(draw(st.integers(1, 3)))]
+        models.append(RoundTripFamily(base, wps))
+        anchors.append(np.array([draw(COORD)]))
+    taus = np.array(
+        [draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.5, 1.5, allow_nan=False))) for _ in range(n - 1)]
+    )
+    widths, _ = chain_layout(list(np.clip(taus, 0.0, 1.0)))
+    bounds = np.cumsum(widths)
+    free = [draw(st.floats(-1.5, 2.5, allow_nan=False)) for _ in range(draw(st.integers(0, 6)))]
+    s = np.concatenate([bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf), [0.0, 1.0], free])
+    t = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    x = np.array([draw(COORD)])
+    return models, anchors, star, taus, s, t, x
+
+
+class TestPatchFamily:
+    @settings(max_examples=120, deadline=None)
+    @given(case=patch_cases())
+    def test_matches_translated_glue_chain(self, case):
+        models, anchors, star, taus, s, t, x = case
+
+        def beta(z):
+            return np.array([0.5 + 0.7 * z[0], -0.2 + 1.3 * z[0] * z[0]])
+
+        # the chain: slot 0 is the star or the first translated patch, and
+        # every later slot is glued by its own closure
+        pieces = [StarOracle(models[0], beta) if star else TranslatedOracle(models[0], beta, anchors[0])]
+        pieces += [TranslatedOracle(m, beta, a) for m, a in zip(models[1:], anchors[1:])]
+        levels = [(lambda z, _j=j: taus[_j], fam) for j, fam in enumerate(pieces[1:])]
+        chain = ChainOracle(pieces[0], levels) if levels else pieces[0]
+
+        calls = {"beta": 0, "weights": 0}
+
+        def counted_beta(z):
+            calls["beta"] += 1
+            return beta(z)
+
+        def counted_weights(z):
+            calls["weights"] += 1
+            return taus
+
+        offsets = [beta(a) for a in anchors]
+        if star:
+            offsets[0] = np.zeros(2)
+        fam = PatchFamily(models, offsets, counted_beta, counted_weights)
+        for reps, chunk in enumerate((s, s[:1]), start=1):
+            assert np.array_equal(fam.eval(x, t, chunk), chain.eval(x, t, chunk))
+            assert calls == {"beta": reps, "weights": reps}
 
 
 class TestRobustSurround:
