@@ -14,8 +14,11 @@ from the hull's facet equations, so the scan runs only for targets inside
 the hull or within roundoff of it.
 
 `flood_fill_component` builds one read-only table of node coordinates per
-fill and hands the predicate its rows, so a predicate call costs what the
-predicate costs plus one set lookup, and no node is asked twice.
+fill and hands the predicate its rows, and keeps the predicate's answers in
+a uint8 table over the flat node indices that the start scan and the BFS
+read first, so no node is asked twice.  A fill at h/2 starts from the
+answers of the fill at h, whose nodes are its even nodes bit for bit, so
+halving h asks the predicate only at the new nodes.
 """
 
 import itertools
@@ -93,12 +96,16 @@ def surrounds(points, v, mu=1e-6):
 
 @dataclass
 class GridComponent:
-    """Axis-connected set of grid nodes satisfying a membership predicate."""
+    """Axis-connected set of grid nodes satisfying a membership predicate.
+
+    answers holds what the fill learnt of the predicate, one uint8 per node in
+    flat C order: 0 not asked, 1 member, 2 refused."""
 
     grid: Grid
     h: float
     box: tuple
     region: GridRegion
+    answers: np.ndarray
 
     def points(self):
         return self.region.nodes()
@@ -110,53 +117,67 @@ class GridComponent:
         return self.region.contains(x)
 
 
-def flood_fill_component(member, seed, box, h):
+def flood_fill_component(member, seed, box, h, coarser=None):
     """Maximal axis-connected grid component containing (the node nearest) seed.
 
-    box is a pair (lo, hi); nodes are lo + k*h per axis.  After the seed,
-    member sees read-only rows equal to grid.node(idx), and each node is
-    asked at most once.  Raises SeedOutside when member(seed) fails, or when
-    no node within one cell of the seed satisfies the predicate.
+    box is a pair (lo, hi); nodes are lo + k*h per axis.  member sees the seed
+    and read-only rows equal to grid.node(idx), and each point is asked at
+    most once: a seed that is bitwise a node is asked as that node.  coarser,
+    a fill of the same box at spacing 2h, lends its answers: its node i is
+    node 2i here, bit for bit, so the predicate is not asked there again.
+    Raises SeedOutside when the seed lies outside the box (before any
+    predicate call), when member(seed) fails, or when no node within one cell
+    of the seed satisfies the predicate.
     """
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     if h <= 0:
         raise ValueError("h must be positive")
     seed = np.atleast_1d(np.asarray(seed, dtype=float))
-    if not member(seed):
-        raise SeedOutside("seed does not satisfy the membership predicate")
     if np.any(seed < lo - 1e-12) or np.any(seed > hi + 1e-12):
         raise SeedOutside("seed lies outside the box")
 
     counts = np.maximum(1, np.floor((hi - lo) / h + 1e-9).astype(int)) + 1
-    axes = [lo[i] + h * np.arange(counts[i]) for i in range(len(lo))]
-    grid = Grid(axes)
+    grid = Grid([lo[i] + h * np.arange(counts[i]) for i in range(len(lo))])
     shape = grid.shape
     dim = grid.dim
-    # coords[idx] is grid.node(idx); read-only, so a predicate cannot corrupt it
-    coords = grid.nodes().reshape(shape + (dim,))
-    coords.flags.writeable = False
+    # rows[i] is the node of flat index i; read-only, so a predicate cannot corrupt it
+    rows = grid.nodes()
+    rows.flags.writeable = False
+    answers = bytearray(len(rows))
+    if coarser is not None:
+        if coarser.h != 2 * h or not np.array_equal(coarser.box[0], lo):
+            raise ValueError("coarser must fill the same box at spacing 2h")
+        # the clamped node count can leave a last coarse node outside this grid
+        keep = tuple(slice(0, min(c, (f + 1) // 2)) for c, f in zip(coarser.grid.shape, shape))
+        even = tuple(slice(0, 2 * k.stop, 2) for k in keep)
+        np.frombuffer(answers, dtype=np.uint8).reshape(shape)[even] = coarser.answers.reshape(coarser.grid.shape)[keep]
+
+    def ask(i):
+        a = answers[i]
+        if not a:
+            a = answers[i] = 1 if member(rows[i]) else 2
+        return a == 1
 
     start = tuple(
         int(min(max(round((seed[i] - lo[i]) / h), 0), shape[i] - 1)) for i in range(dim)
     )
+    flat = int(np.ravel_multi_index(start, shape))
+    if not (ask(flat) if rows[flat].tobytes() == seed.tobytes() else member(seed)):
+        raise SeedOutside("seed does not satisfy the membership predicate")
+
     candidates = [start]
     # the nearest node can just miss an open set; look one cell around
     for off in itertools.product((-1, 0, 1), repeat=dim):
         nb = tuple(start[i] + off[i] for i in range(dim))
         if nb != start and all(0 <= nb[i] < shape[i] for i in range(dim)):
             candidates.append(nb)
-    start_node = None
-    refused = set()
-    for cand in candidates:
-        if member(coords[cand]):
-            start_node = cand
-            break
-        refused.add(cand)
+    # a candidate refused here is never asked again: ask records it
+    candidates = np.ravel_multi_index(tuple(zip(*candidates)), shape).tolist()
+    start_node = next((i for i in candidates if ask(i)), None)
     if start_node is None:
         raise SeedOutside("no grid node near the seed satisfies the predicate")
 
-    # a candidate refused above is never asked again
-    reached = bfs(shape, start_node, lambda nb: nb not in refused and member(coords[nb]))
-    mask = np.zeros(shape, dtype=bool)
-    mask[tuple(zip(*reached))] = True
-    return GridComponent(grid=grid, h=float(h), box=(lo, hi), region=GridRegion(grid, mask))
+    mask = np.array(bfs(shape, start_node, ask)).reshape(shape) >= 0
+    table = np.frombuffer(answers, dtype=np.uint8)
+    table.flags.writeable = False
+    return GridComponent(grid=grid, h=float(h), box=(lo, hi), region=GridRegion(grid, mask), answers=table)

@@ -5,8 +5,6 @@ a region always means a fixed dilation by whole cells, and distances are
 node distances (periodic axes wrap).
 """
 
-from collections import deque
-
 import numpy as np
 
 __all__ = ["Grid", "GridRegion", "box_grid", "bfs"]
@@ -59,31 +57,42 @@ class Grid:
 
 
 def bfs(shape, start, admit):
-    """Breadth-first search over the axis neighbours of the index grid `shape`.
+    """Breadth-first search over the axis neighbours of the index grid `shape`,
+    on flat C-order node indices.
 
-    Returns {node: parent} for every node reached from `start` (whose parent
-    is None); following parents from any node gives a shortest chain back to
-    `start`.  admit(node) decides whether a neighbour may be entered; it is
+    Returns the parent list over the flat indices: -1 for a node not reached,
+    `start` for `start`, and for every other reached node the neighbour it was
+    entered from, so following parents gives a shortest chain back to `start`.
+    Neighbours are tried axis by axis, -1 before +1, from a FIFO queue.
+    admit(i) decides whether the node with flat index i may be entered; it is
     asked at most once per node and never for `start`.
     """
-    parent = {start: None}
-    refused = set()
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for ax in range(len(shape)):
-            for step in (-1, 1):
-                k = cur[ax] + step
-                if not 0 <= k < shape[ax]:
-                    continue
-                nb = cur[:ax] + (k,) + cur[ax + 1 :]
-                if nb in parent or nb in refused:
-                    continue
+    n = 1
+    strides = []
+    for size in reversed(shape):
+        strides.append(n)
+        n *= size
+    axes = list(zip(reversed(strides), shape))
+    parent = [-1] * n
+    parent[start] = start
+    asked = bytearray(n)
+    asked[start] = 1
+    queue = [start]  # FIFO: the loop reaches every node appended behind it
+    for cur in queue:
+        for stride, size in axes:
+            k = cur // stride % size
+            if k > 0 and not asked[cur - stride]:
+                nb = cur - stride
+                asked[nb] = 1
                 if admit(nb):
                     parent[nb] = cur
                     queue.append(nb)
-                else:
-                    refused.add(nb)
+            if k + 1 < size and not asked[cur + stride]:
+                nb = cur + stride
+                asked[nb] = 1
+                if admit(nb):
+                    parent[nb] = cur
+                    queue.append(nb)
     return parent
 
 

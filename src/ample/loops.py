@@ -287,15 +287,14 @@ def _grid_path(component, start, goal):
     goal = grid.nearest_index(goal)
     if not mask[start] or not mask[goal]:
         raise NotSurrounded("path endpoints left the component")
-    prev = bfs(grid.shape, start, lambda nb: mask[nb])
-    if goal not in prev:
+    start, goal = (int(np.ravel_multi_index(i, grid.shape)) for i in (start, goal))
+    prev = bfs(grid.shape, start, mask.ravel().tolist().__getitem__)
+    if prev[goal] < 0:
         raise NotSurrounded("component is not connected between path endpoints")
-    path = []
-    node = goal
-    while node is not None:
-        path.append(node)
-        node = prev[node]
-    return [grid.node(i) for i in reversed(path)]
+    path = [goal]
+    while path[-1] != start:
+        path.append(prev[path[-1]])
+    return [grid.node(np.unravel_index(i, grid.shape)) for i in reversed(path)]
 
 
 def _simplify_polyline(points):
@@ -331,14 +330,16 @@ def surrounding_loop_at(omega_x, beta_x, g_x, box, h):
 
     Pipeline: flood-fill the component of omega_x containing beta_x, certify
     an affine basis around g_x among the component points (refining h when
-    needed), connect the base to the basis by grid paths inside the
+    needed; each finer fill starts from the coarser fill's predicate
+    answers), connect the base to the basis by grid paths inside the
     component, and run a round trip through the result.
     """
     beta_x = np.asarray(beta_x, dtype=float).ravel()
     g_x = np.asarray(g_x, dtype=float).ravel()
     hcur = float(h)
+    comp = None
     for _ in range(_MAX_H_HALVINGS + 1):
-        comp = convexity.flood_fill_component(omega_x, beta_x, box, hcur)
+        comp = convexity.flood_fill_component(omega_x, beta_x, box, hcur, coarser=comp)
         pts = comp.points()
         reason = "no certified affine basis"
         order = _candidate_order(pts, g_x)

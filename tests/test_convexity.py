@@ -1,4 +1,5 @@
 import itertools
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -240,6 +241,28 @@ class TestFloodFill:
         with pytest.raises(SeedOutside):
             flood_fill_component(lambda y: y[0] > 0, [-0.5], ([-1.0], [1.0]), 0.25)
 
+    def test_seed_outside_the_box_asks_nothing(self):
+        asked = []
+
+        def member(y):
+            asked.append(y)
+            return True
+
+        with pytest.raises(SeedOutside, match="outside the box"):
+            flood_fill_component(member, [0.5, 1.5], ([-1.0, -1.0], [1.0, 1.0]), 0.25)
+        assert asked == []
+
+    def test_seed_on_a_node_is_asked_once(self):
+        asked = []
+
+        def member(y):
+            asked.append(float(y[0]))
+            return True
+
+        comp = flood_fill_component(member, [0.25], ([-1.0], [1.0]), 0.25)
+        assert sorted(asked) == list(np.arange(-1.0, 1.01, 0.25))
+        assert comp.count() == 9
+
     def test_predicate_cannot_write_the_nodes(self):
         def member(y):
             y[0] = 0.0
@@ -283,6 +306,73 @@ class TestFloodFill:
         assert comp.count() == 4
 
 
+def hashed_set(salt, density):
+    """A fixed scattered subset of R^d: whether y belongs depends on the bytes
+    of y only, so bitwise-equal points get the same answer."""
+    return lambda y: zlib.crc32(np.asarray(y, dtype=float).tobytes(), salt) % 1024 < density * 1024
+
+
+@st.composite
+def coarse_cases(draw):
+    """A box of 1-3 axes whose widths are whole or fractional multiples of h,
+    or below one h (where the node count is clamped to two), a seed in the
+    box (sometimes bitwise a node of the grid at h) and a scattered set."""
+    dim = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([0.2, 0.25, 0.3, 0.5, 1.0]))
+    lo = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    cells = draw(st.lists(st.one_of(st.floats(0.01, 6.0), st.integers(1, 6).map(float)), min_size=dim, max_size=dim))
+    hi = lo + h * np.array(cells)
+    seed = lo + np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim))) * (hi - lo)
+    seed = np.minimum(seed, hi)
+    if draw(st.booleans()):
+        seed = lo + h * np.floor((seed - lo) / h)
+    return dict(member=hashed_set(draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.4, 1.0))), seed=seed, box=(lo, hi), h=h)
+
+
+def fill_outcome(*args, **kwargs):
+    try:
+        return flood_fill_component(*args, **kwargs)
+    except SeedOutside as err:
+        return str(err)
+
+
+class TestCoarserFill:
+    @settings(max_examples=80, deadline=None)
+    @given(case=coarse_cases())
+    @example(case=dict(member=hashed_set(7, 0.6), seed=np.array([0.1]), box=(np.array([0.0]), np.array([0.15])), h=0.5))
+    @example(case=dict(member=hashed_set(3, 0.7), seed=np.array([0.6, 0.0]), box=(np.zeros(2), np.array([1.25, 0.6])), h=0.5))
+    def test_seeded_fill_matches_plain_fill(self, case):
+        member, seed, box, h = case["member"], case["seed"], case["box"], case["h"]
+        coarse = fill_outcome(member, seed, box, h)
+        assume(not isinstance(coarse, str))
+        asked = []
+
+        def counted(y):
+            asked.append(y.tobytes())
+            return member(y)
+
+        plain = fill_outcome(member, seed, box, 0.5 * h)
+        fine = fill_outcome(counted, seed, box, 0.5 * h, coarser=coarse)
+        if isinstance(plain, str):
+            assert fine == plain
+        else:
+            assert np.array_equal(fine.region.mask, plain.region.mask)
+        nodes = coarse.grid.nodes()
+        answered = {nodes[i].tobytes() for i in np.flatnonzero(coarse.answers)}
+        assert answered.isdisjoint(asked)
+        # fine node 2i is coarse node i, bit for bit, wherever both exist
+        grid = flood_fill_component(lambda y: True, box[0], box, 0.5 * h).grid
+        for idx in np.ndindex(coarse.grid.shape):
+            twice = tuple(2 * i for i in idx)
+            if all(k < n for k, n in zip(twice, grid.shape)):
+                assert grid.node(twice).tobytes() == coarse.grid.node(idx).tobytes()
+
+    def test_coarser_on_another_grid_is_refused(self):
+        coarse = flood_fill_component(lambda y: True, [0.0], ([0.0], [1.0]), 0.5)
+        with pytest.raises(ValueError):
+            flood_fill_component(lambda y: True, [0.0], ([0.0], [1.0]), 0.2, coarser=coarse)
+
+
 # boolean masks over an integer grid with at least two nodes per axis
 MASKS = arrays(bool, array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6))
 
@@ -306,13 +396,18 @@ class TestGridBFS:
         assert {tuple(np.round(p, 12)) for p in comp.points()} == oracle
 
         asked = Counter()
+        flat_mask = mask.ravel().tolist()
 
-        def admit(node):
-            asked[node] += 1
-            return bool(mask[node])
+        def admit(i):
+            asked[i] += 1
+            return flat_mask[i]
 
-        reached = bfs(mask.shape, start, admit)
-        assert start not in asked and max(asked.values(), default=0) <= 1
-        assert {tuple(map(float, node)) for node in reached} == oracle
-        for node, parent in reached.items():
-            assert parent is None or sum(abs(a - b) for a, b in zip(node, parent)) == 1
+        first = int(np.ravel_multi_index(start, mask.shape))
+        parent = bfs(mask.shape, first, admit)
+        assert first not in asked and max(asked.values(), default=0) <= 1
+        assert len(parent) == mask.size and parent[first] == first
+        reached = [i for i, p in enumerate(parent) if p >= 0]
+        node = lambda i: np.array(np.unravel_index(i, mask.shape))
+        assert {tuple(map(float, node(i))) for i in reached} == oracle
+        for i in reached:
+            assert i == first or np.abs(node(i) - node(parent[i])).sum() == 1

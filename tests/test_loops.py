@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -87,7 +89,9 @@ def count_calls(monkeypatch):
     scans, fills = [], []
     scan, fill = convexity.surrounds, convexity.flood_fill_component
     monkeypatch.setattr(convexity, "surrounds", lambda *args: scans.append(args) or scan(*args))
-    monkeypatch.setattr(convexity, "flood_fill_component", lambda *args: fills.append(args) or fill(*args))
+    monkeypatch.setattr(
+        convexity, "flood_fill_component", lambda *args, **kwargs: fills.append(args) or fill(*args, **kwargs)
+    )
     return scans, fills
 
 
@@ -110,12 +114,22 @@ class TestSurroundingLoopAt:
 
     def test_target_outside_hull(self, monkeypatch):
         scans, fills = count_calls(monkeypatch)
-        omega = lambda w: w[1] > 0
+        asked = Counter()
+
+        def omega(w):
+            asked[w.tobytes()] += 1
+            return w[1] > 0
+
         with pytest.raises(NotSurrounded, match=r"h=0\.03125: target outside the hull of the component's \d+ nodes"):
             surrounding_loop_at(omega, [0.0, 1.0], [0.0, -1.0], ([-2.0, -2.0], [2.0, 2.0]), 0.25)
         # the hull refuses at every h level without a subset scan
         assert len(scans) == 0
         assert len(fills) == loops._MAX_H_HALVINGS + 1
+        # each finer fill reads the coarser fill's answers: the seed [0, 1]
+        # and every other grid point are asked once across the four fills,
+        # and together they ask the 129 x 65 nodes with y >= 0 at h = 1/32
+        assert max(asked.values()) == 1
+        assert len(asked) == 129 * 65
 
     def test_target_on_the_hull_is_scanned(self, monkeypatch):
         scans, fills = count_calls(monkeypatch)
