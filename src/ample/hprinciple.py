@@ -164,7 +164,6 @@ class Cutoff:
             gap = min(self.inner.distance(x) for x in outside.nodes())
             self.d0 = 0.2 * h
             self.d1 = max(gap - 0.55 * h, 0.5 * h)
-        self._h = h
 
     def rho(self, x):
         if self.trivial:

@@ -345,7 +345,7 @@ def surrounding_loop_at(omega_x, beta_x, g_x, box, h):
         order = _candidate_order(pts, g_x)
         if not order:
             reason = f"target outside the hull of the component's {len(pts)} nodes"
-        elif len(pts) > g_x.size:
+        else:
             cand = pts[order]
             found = convexity.surrounds(cand, g_x, _SURROUND_FLOORS)
             if found is not None:

@@ -44,27 +44,20 @@ _BUMP_MASS = float(quad_integral(bump, -1.0, 1.0, 4096))
 
 
 class DeltaMollifier:
-    """Smooth periodic unit-mass bumps of half-width eta at circle points.
-
-    center and eta broadcast against each other: arrays of k centres (and
-    widths) give one row of values per centre, a scalar pair gives values of
-    the shape of s.
-    """
+    """Smooth periodic unit-mass bump of half-width eta at one circle point."""
 
     def __init__(self, center, eta):
-        center, eta = np.broadcast_arrays(np.asarray(center, dtype=float) % 1.0, np.asarray(eta, dtype=float))
-        if np.any(eta <= 0):
+        if eta <= 0:
             raise ValueError("eta must be positive")
-        self.center = center
-        self.eta = eta
+        self.center = float(center) % 1.0
+        self.eta = float(eta)
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        tail = (1,) * s.ndim
-        c = self.center.reshape(self.center.shape + tail)
-        eta = self.eta.reshape(self.eta.shape + tail)
-        d = np.abs((s - c + 0.5) % 1.0 - 0.5)
-        return bump(d / eta) / (eta * _BUMP_MASS)
+        d = np.abs((np.asarray(s, dtype=float) - self.center + 0.5) % 1.0 - 0.5)
+        return bump(d / self.eta) / (self.eta * _BUMP_MASS)
+
+
+_MOLLIFIER = DeltaMollifier(0.0, _ETA)  # every centre's mollifier, shifted to 0
 
 
 class CircleReparam:
@@ -82,7 +75,6 @@ class CircleReparam:
         t = np.arange(n + 1) / n
         cum = cumulative_simpson(np.asarray(density(t), dtype=float), 1.0 / n)
         self.total = float(cum[-1])
-        self._t = t
         self._psi = cum / self.total
         self._n = n
 
@@ -95,7 +87,7 @@ class CircleReparam:
         k = np.floor(t)
         r = t - k
         idx = np.minimum((r * self._n).astype(int), self._n - 1)
-        t0 = self._t[idx]
+        t0 = idx / self._n
         dt = r - t0
         # Gauss-2 correction from the nearest table node
         m1 = t0 + dt * (0.5 - 0.5 / np.sqrt(3.0))
@@ -107,7 +99,7 @@ class CircleReparam:
         s = np.asarray(s, dtype=float)
         k = np.floor(s)
         r = s - k
-        t = np.interp(r, self._psi, self._t)
+        t = np.interp(r, self._psi, np.arange(self._n + 1) / self._n)
         for _ in range(3):
             res = self.psi(t) - r
             t = np.clip(t - res / self.density_normalized(t), 0.0, 1.0)
@@ -122,11 +114,10 @@ def _mix_density(weights):
     the fixed centres.  Their supports are disjoint, so each s reads only the
     mollifier of its nearest centre."""
     w = np.asarray(weights, dtype=float)
-    m = DeltaMollifier(0.0, _ETA)
 
     def density(s):
         k = np.rint(np.asarray(s, dtype=float) * _CERTIFICATE_M)
-        return (LEAK + w[k.astype(int) % _CERTIFICATE_M] * m(s - k / _CERTIFICATE_M)) / (1.0 + LEAK)
+        return (LEAK + w[k.astype(int) % _CERTIFICATE_M] * _MOLLIFIER(s - k / _CERTIFICATE_M)) / (1.0 + LEAK)
 
     return density
 
@@ -135,11 +126,10 @@ def _mollifier_dots(loop, centers):
     """a_k = int gamma(s) m_k(s) ds over each mollifier's support, from one
     loop evaluation on the (len(centers), _DOT_PANELS + 1) Simpson nodes."""
     c = np.asarray(centers, dtype=float)
-    m = DeltaMollifier(0.0, _ETA)
 
     def integrand(u):
         vals = loop((u[:, None] + c).ravel()).reshape(len(u), len(c), -1)
-        return vals * m(u)[:, None, None]
+        return vals * _MOLLIFIER(u)[:, None, None]
 
     return quad_integral(integrand, -_ETA, _ETA, _DOT_PANELS)
 
@@ -189,9 +179,14 @@ def _max_entropy_weights(a, abar, g):
 def adjust_weights(gamma, g, centers):
     """Positive weights w summing to 1 with average(gamma . phi_w) = g, phi_w
     the reparametrisation of the mollifiers at the centres: the max-entropy
-    weights of the mollifier dots (see _max_entropy_weights)."""
+    weights of the mollifier dots (see _max_entropy_weights).
+
+    Returns w and the average (w @ a + LEAK abar) / (1 + LEAK) that it gives.
+    """
     g = np.asarray(g, dtype=float).ravel()
-    return _max_entropy_weights(_mollifier_dots(gamma, centers), average(gamma, _ABAR_M), g)
+    a, abar = _mollifier_dots(gamma, centers), average(gamma, _ABAR_M)
+    w = _max_entropy_weights(a, abar, g)
+    return w, (w @ a + LEAK * abar) / (1.0 + LEAK)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +197,12 @@ class ReparametrizedFamily(LoopFamily):
     """The family composed at each x with the circle map whose max-entropy
     weights over the fixed centres make the t=1 average g(x).
 
-    Weights are solved when x is first read and kept in an LRU cache with
-    the t=1 average they give and the CircleReparam, which is built only
-    when a value or a partial integral needs phi.  Averages need no phi;
-    they are (w @ a(x, t) + LEAK abar(x, t)) / (1 + LEAK) by substitution.
+    Each x's weights are solved once and kept in an LRU cache with the t=1
+    average they give and the CircleReparam, which is built only when a
+    value or a partial integral needs phi.  reparametrize_family solves the
+    nodes' weights at the build and keeps them as the family's entries;
+    other points are solved when first read.  Averages need no phi; they
+    are (w @ a(x, t) + LEAK abar(x, t)) / (1 + LEAK) by substitution.
     """
 
     def __init__(self, inner, g):
@@ -221,10 +218,7 @@ class ReparametrizedFamily(LoopFamily):
         if entry is not None:
             self._cache.move_to_end(key)
             return entry
-        loop = self.inner.loop_at(x, 1.0)
-        a, abar = _mollifier_dots(loop, _CENTERS), average(loop, _ABAR_M)
-        w = _max_entropy_weights(a, abar, np.asarray(self.g(x), dtype=float).ravel())
-        entry = self._cache[key] = [w, (w @ a + LEAK * abar) / (1.0 + LEAK), None]
+        entry = self._cache[key] = [*adjust_weights(self.inner.loop_at(x, 1.0), self.g(x), _CENTERS), None]
         if len(self._cache) > _REPARAM_CACHE:
             self._cache.popitem(last=False)
         return entry
@@ -265,16 +259,16 @@ def reparametrize_family(family, g, grid):
 
     Every node's t=1 loop must surround g(x) on samples (NotSurrounded
     otherwise) and pass one weight solve (NoConvergence otherwise, carrying
-    the weights and residual); either error names the node.  Off the nodes
-    the weights are solved when x is first read.
+    the weights and residual); either error names the node.  The nodes'
+    weights are solved here and kept as the returned family's entries; off
+    the nodes the weights are solved when x is first read.
     """
+    reparametrized = ReparametrizedFamily(family, g)
     for x in grid.nodes():
-        loop = family.loop_at(x, 1.0)
-        gx = np.asarray(g(x), dtype=float).ravel()
         try:
-            surround_certificate(loop, gx, M=_CERTIFICATE_M)
-            adjust_weights(loop, gx, _CENTERS)
+            surround_certificate(family.loop_at(x, 1.0), g(x), M=_CERTIFICATE_M)
+            reparametrized._entry(x)
         except (NotSurrounded, NoConvergence) as err:
             err.args = (f"node {x}: {err}",)
             raise
-    return ReparametrizedFamily(family, g)
+    return reparametrized

@@ -51,22 +51,6 @@ class TestMollifier:
         m = DeltaMollifier(0.01, 0.05)
         assert m(np.array([0.99]))[0] > 0
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        centers=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
-        etas=st.lists(st.floats(1e-3, 0.5), min_size=6, max_size=6),
-        s=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=40),
-    )
-    def test_array_centres_stack_scalar_calls(self, centers, etas, s):
-        s = np.array(s)
-        etas = etas[: len(centers)]
-        rows = DeltaMollifier(np.array(centers), np.array(etas))(s)
-        want = np.stack([DeltaMollifier(c, e)(s) for c, e in zip(centers, etas)])
-        assert rows.shape == want.shape and np.array_equal(rows, want)
-        # one width broadcast over every centre
-        rows = DeltaMollifier(np.array(centers), etas[0])(s)
-        assert np.array_equal(rows, np.stack([DeltaMollifier(c, etas[0])(s) for c in centers]))
-
     def test_dirac_rate(self):
         # oracle: int m f -> f(center) at second order in the width
         f = lambda s: np.sin(2 * np.pi * s)
@@ -84,8 +68,42 @@ def mixed_reparam(weights, centers, eta=reparam._ETA):
     """CircleReparam of the density (LEAK + sum_i w_i m_i) / (1 + LEAK), the
     m_i unit-mass mollifiers of half-width eta at any centres."""
     w = np.asarray(weights, dtype=float)
-    m = DeltaMollifier(np.asarray(centers, dtype=float), eta)
-    return CircleReparam(lambda s: (reparam.LEAK + np.tensordot(w, m(s), axes=1)) / (1.0 + reparam.LEAK), eta)
+    ms = [DeltaMollifier(c, eta) for c in centers]
+    return CircleReparam(
+        lambda s: (reparam.LEAK + np.tensordot(w, np.stack([m(s) for m in ms]), axes=1)) / (1.0 + reparam.LEAK), eta
+    )
+
+
+class StoredGridReparam(CircleReparam):
+    """CircleReparam with its table nodes t_i = i / n stored beside psi and
+    read from there: the reference that the map computing t_i when read must
+    match bit for bit."""
+
+    def __init__(self, density, feature):
+        super().__init__(density, feature)
+        self._t = np.arange(self._n + 1) / self._n
+
+    def psi(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.floor(t)
+        r = t - k
+        idx = np.minimum((r * self._n).astype(int), self._n - 1)
+        t0 = self._t[idx]
+        dt = r - t0
+        m1 = t0 + dt * (0.5 - 0.5 / np.sqrt(3.0))
+        m2 = t0 + dt * (0.5 + 0.5 / np.sqrt(3.0))
+        loc = 0.5 * dt * (np.asarray(self.density(m1), dtype=float) + np.asarray(self.density(m2), dtype=float)) / self.total
+        return k + self._psi[idx] + loc
+
+    def phi(self, s):
+        s = np.asarray(s, dtype=float)
+        k = np.floor(s)
+        r = s - k
+        t = np.interp(r, self._psi, self._t)
+        for _ in range(3):
+            res = self.psi(t) - r
+            t = np.clip(t - res / self.density_normalized(t), 0.0, 1.0)
+        return k + t
 
 
 class TestReparamFromWeights:
@@ -127,8 +145,34 @@ class TestReparamFromWeights:
         # the fixed-centre density against the sum over every mollifier
         w = np.random.default_rng(4).dirichlet(np.ones(64))
         s = np.concatenate([np.linspace(-1.0, 2.0, 30001), (np.arange(64) + 0.5) / 64, np.arange(64) / 64])
-        want = (reparam.LEAK + w @ DeltaMollifier(reparam._CENTERS, reparam._ETA)(s)) / (1.0 + reparam.LEAK)
+        rows = np.stack([DeltaMollifier(c, reparam._ETA)(s) for c in reparam._CENTERS])
+        want = (reparam.LEAK + w @ rows) / (1.0 + reparam.LEAK)
         assert np.max(np.abs(reparam._mix_density(w)(s) - want)) <= 1e-12 * np.max(want)
+
+
+class TestTableNodes:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        fixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 6),
+        eta=st.floats(1e-3, 0.2),
+        s=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=50),
+    )
+    @example(fixed=True, seed=0, k=1, eta=0.1, s=[-2.0, -1.0, 0.0, 0.5, 1.0, 1.0 - 1e-16, 3.0])
+    def test_match_stored_grid(self, fixed, seed, k, eta, s):
+        # the fixed centres' density, or k random centres of half-width eta
+        rng = np.random.default_rng(seed)
+        if fixed:
+            density, feature = reparam._mix_density(rng.dirichlet(np.ones(64))), reparam._ETA
+        else:
+            ms = [DeltaMollifier(c, eta) for c in rng.uniform(0.0, 1.0, k)]
+            w = rng.dirichlet(np.ones(k))
+            density, feature = lambda u: reparam.LEAK + np.tensordot(w, np.stack([m(u) for m in ms]), axes=1), eta
+        got, want = CircleReparam(density, feature), StoredGridReparam(density, feature)
+        s = np.array(s)
+        assert np.array_equal(got.phi(s), want.phi(s))
+        assert np.array_equal(got.psi(s), want.psi(s))
 
 
 def assert_feasible(lp, g, centers, w):
@@ -154,13 +198,15 @@ class TestAdjustWeights:
         g = np.array([1.5, -0.5])
         lp = Loop(lambda s: np.tile(g, (len(np.atleast_1d(s)), 1)))
         centers = [0.0, 0.33, 0.71]
-        assert_feasible(lp, g, centers, adjust_weights(lp, g, centers))
+        assert_feasible(lp, g, centers, adjust_weights(lp, g, centers)[0])
 
     def test_circle_quarters(self):
         lp = circle_loop()
-        w = adjust_weights(lp, [0.0, 0.0], [0.0, 0.25, 0.5, 0.75])
+        w, avg = adjust_weights(lp, [0.0, 0.0], [0.0, 0.25, 0.5, 0.75])
         rp = mixed_reparam(w, [0.0, 0.25, 0.5, 0.75])
+        # the average returned with the weights is the one they give
         assert np.linalg.norm(subst_average(lp, rp)) <= 1e-8
+        assert np.linalg.norm(avg - subst_average(lp, rp)) <= 1e-8
 
     @settings(max_examples=25, deadline=None)
     @given(radius=st.floats(0.0, 0.998), angle=st.floats(0.0, 1.0))
@@ -173,7 +219,7 @@ class TestAdjustWeights:
         g = radius * np.array([np.cos(2 * np.pi * angle), np.sin(2 * np.pi * angle)])
         centers, _coords, _ = loops.surround_certificate(lp, g, M=64)
         try:
-            w = adjust_weights(lp, g, centers)
+            w, _ = adjust_weights(lp, g, centers)
         except NoConvergence as err:
             # the weights reached lie on the simplex, and no positive ones
             # exist: the affine solve of the d + 1 centres has a negative weight
@@ -216,7 +262,7 @@ class TestAdjustWeights:
         lp = circle_loop()
         g = np.array([0.1, 0.25])
         centers, _coords, _ = loops.surround_certificate(lp, g, M=64)
-        w = adjust_weights(lp, g, centers)
+        w, _ = adjust_weights(lp, g, centers)
         rp = mixed_reparam(w, centers)
         avg = subst_average(lp, rp)
         samples = lp(np.arange(64) / 64)
@@ -244,7 +290,7 @@ class TestAdjustWeights:
         assume(sigma > 1e-2)
         want = rng.dirichlet(np.ones(dim + 1))
         g = (want @ a + reparam.LEAK * average(lp, 2048)) / (1.0 + reparam.LEAK)
-        w = adjust_weights(lp, g, centers)
+        w, _ = adjust_weights(lp, g, centers)
         assert np.max(np.abs(w - affine_weights(lp, g, centers))) <= 2e-8 / sigma
         assert np.max(np.abs(w - want)) <= 2e-8 / sigma
 
@@ -346,6 +392,32 @@ class TestReparametrizeFamily:
         w = info.value.best_value
         assert w.min() >= 0 and abs(float(w.sum()) - 1.0) <= 1e-12
         assert info.value.best_residual > reparam._SOLVE_TOL
+
+    def test_build_solves_each_node_once(self, monkeypatch):
+        # every weight solve goes through adjust_weights, and the build's
+        # solve at a node is the entry its reads use; the reads equal those
+        # of a family that solves each point when first read
+        fam = TranslatedCircleFamily()
+        g = lambda x: fam.center(x) + 0.1 * np.array([np.cos(2 * np.pi * x[0]), np.sin(2 * np.pi * x[0])])
+        counts = {"adjust_weights": 0, "_max_entropy_weights": 0}
+        for name in counts:
+
+            def counted(*args, _fn=getattr(reparam, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(reparam, name, counted)
+        grid = self.grid()
+        nodes = list(grid.nodes())
+        built = reparametrize_family(fam, g, grid)
+        node_avgs = [built.average_at(x, 1.0) for x in nodes]
+        assert counts == {"adjust_weights": len(nodes), "_max_entropy_weights": len(nodes)}
+        lazy = reparam.ReparametrizedFamily(fam, g)
+        for x, avg in zip(nodes, node_avgs):
+            assert np.array_equal(avg, lazy.average_at(x, 1.0))
+        x, s = np.array([0.3]), np.linspace(0.0, 1.0, 17)
+        assert np.array_equal(built.eval(x, 0.7, s), lazy.eval(x, 0.7, s))
+        assert np.array_equal(built.integral_over(x, 0.7, 0.1, 0.63), lazy.integral_over(x, 0.7, 0.1, 0.63))
 
     def test_direct_and_substitution_agree(self):
         fam = TranslatedCircleFamily()
