@@ -164,12 +164,10 @@ class TestTableNodes:
         # the fixed centres' density, or k random centres of half-width eta
         rng = np.random.default_rng(seed)
         if fixed:
-            density, feature = reparam._mix_density(rng.dirichlet(np.ones(64))), reparam._ETA
+            got = CircleReparam(reparam._mix_density(rng.dirichlet(np.ones(64))), reparam._ETA)
         else:
-            ms = [DeltaMollifier(c, eta) for c in rng.uniform(0.0, 1.0, k)]
-            w = rng.dirichlet(np.ones(k))
-            density, feature = lambda u: reparam.LEAK + np.tensordot(w, np.stack([m(u) for m in ms]), axes=1), eta
-        got, want = CircleReparam(density, feature), StoredGridReparam(density, feature)
+            got = mixed_reparam(rng.dirichlet(np.ones(k)), rng.uniform(0.0, 1.0, k), eta)
+        want = StoredGridReparam(got.density, reparam._ETA if fixed else eta)
         s = np.array(s)
         assert np.array_equal(got.phi(s), want.phi(s))
         assert np.array_equal(got.psi(s), want.psi(s))
@@ -204,8 +202,8 @@ class TestAdjustWeights:
         lp = circle_loop()
         w, avg = adjust_weights(lp, [0.0, 0.0], [0.0, 0.25, 0.5, 0.75])
         rp = mixed_reparam(w, [0.0, 0.25, 0.5, 0.75])
-        # the average returned with the weights is the one they give
         assert np.linalg.norm(subst_average(lp, rp)) <= 1e-8
+        # the average returned with the weights is the one they give
         assert np.linalg.norm(avg - subst_average(lp, rp)) <= 1e-8
 
     @settings(max_examples=25, deadline=None)
