@@ -113,9 +113,6 @@ class GridComponent:
     def count(self):
         return self.region.count()
 
-    def contains(self, x):
-        return self.region.contains(x)
-
 
 def flood_fill_component(member, seed, box, h, coarser=None):
     """Maximal axis-connected grid component containing (the node nearest) seed.

@@ -19,7 +19,7 @@ alias with N.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,21 +50,10 @@ class CorrugationJob:
     p: DualPair
     N: float
     family: object
-    _avg_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.N <= 0:
             raise ValueError("N must be positive")
-
-    def average_at(self, x, t):
-        key = (np.atleast_1d(np.asarray(x, dtype=float)).tobytes(), float(t))
-        hit = self._avg_cache.get(key)
-        if hit is None:
-            hit = self.family.average_at(x, t, M=_AVG_M)
-            if len(self._avg_cache) > 20000:
-                self._avg_cache.clear()
-            self._avg_cache[key] = hit
-        return hit
 
 
 def _frac_split(job, x):
@@ -84,7 +73,7 @@ def corrugation(job: CorrugationJob, x, t):
     if r == 0.0:
         return np.zeros(job.family.dim_f)
     I = job.family.integral_over(x, t, 0.0, r, M=_FRAC_M)
-    return (I - r * job.average_at(x, t)) / job.N
+    return (I - r * job.family.average_at(x, t, M=_AVG_M)) / job.N
 
 
 def remainder(job: CorrugationJob, x, t):
@@ -108,7 +97,7 @@ def corrugated_derivative(job: CorrugationJob, x, t):
     pi (x) (gamma_{t,x}(N pi(x)) - avg) + remainder."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z, _, _ = _frac_split(job, x)
-    val = job.family.eval(x, t, np.array([z]))[0] - job.average_at(x, t)
+    val = job.family.eval(x, t, np.array([z]))[0] - job.family.average_at(x, t, M=_AVG_M)
     return np.outer(val, job.p.pi) + remainder(job, x, t)
 
 

@@ -59,6 +59,9 @@ NEAR_CELLS = 2  # "near" a region always means this many cells of dilation
 _STEP_T = (0.5, 1.0)  # grades at which a step probes its margin and bounds its corrugation
 _SUP_STRIDE = 2  # every this-many landscape node feeds the bound on N
 _HOL_TOL = 1e-6  # holonomy residual a landscape accepts on E' near K0 and near C
+_VERIFY_HOL_TOL = 1e-3  # finite-difference holonomy residual verify_conclusions accepts on K0
+_VERIFY_T0_TOL = 1e-9  # distance of the homotopy at t=0 from F0 that verify_conclusions accepts
+_VERIFY_FROZEN_TOL = 1e-12  # motion outside K1 and near C that verify_conclusions accepts
 
 
 @dataclass
@@ -194,14 +197,9 @@ class Homotopy:
         self.cutoff = cutoff
         self.metadata = metadata or {}
         self._job = CorrugationJob(self.p, self.N, gamma)
-        self._warped = {}
 
     def _warped_job(self, t):
-        key = float(t)
-        if key not in self._warped:
-            fam = WarpedFamily(self.gamma, lambda x, _t=key: _t * self.cutoff.rho(x))
-            self._warped[key] = CorrugationJob(self.p, self.N, fam)
-        return self._warped[key]
+        return CorrugationJob(self.p, self.N, WarpedFamily(self.gamma, lambda x: t * self.cutoff.rho(x)))
 
     def _f(self, t, x, rho, fx):
         """The f-component f(x) + t rho(x) Corr(x, t) at a clipped t, a point
@@ -386,51 +384,32 @@ class ParametricHomotopy:
         jet = psi_project(OneJet(xp, y, phi), self.dim_e)
         return jet.y, jet.phi
 
-    def family_at(self, t):
-        def ev(pval, x):
-            return self.eval(t, pval, x)
 
-        return FamilyOfSections(dim_e=self.dim_e, param_dim=self.param_dim, eval=ev)
-
-
-def improve_parametric(R: Relation, F0: FamilyOfSections, C, K, eps, grid=None, basis=None):
+def improve_parametric(R: Relation, F0: FamilyOfSections, C, K, eps):
     """Parametric h-principle driver: lift the family over E x P, improve
     with corrugations along the E directions, read the family back.
 
-    The P-block of the lifted derivative candidate is the actual parameter
-    derivative, so only E-directions need improving for every parameter
-    slice to become holonomic.
+    The landscape lives on K's grid over E x P.  The P-block of the lifted
+    derivative candidate is the actual parameter derivative, so only the
+    E-directions need improving for every parameter slice to become
+    holonomic.
     """
-    if grid is None:
-        grid = K.grid
     Fbar = bar_family(F0)
     RP = parametric_relation(R, F0.param_dim)
-    k1 = K.dilate(2)
-    L = Landscape(grid=grid, k0=K, k1=k1, c=C)
-    if basis is None:
-        basis = [np.eye(grid.dim)[i] for i in range(F0.dim_e)]
+    L = Landscape(grid=K.grid, k0=K, k1=K.dilate(2), c=C)
+    basis = [np.eye(K.grid.dim)[i] for i in range(F0.dim_e)]
     hom = improve(RP, Fbar, L, eps, basis=basis)
     return ParametricHomotopy(hom, F0.dim_e, F0.param_dim)
 
 
-def verify_conclusions(
-    hom,
-    F0: JetSection,
-    R: Relation,
-    L: Landscape,
-    eps,
-    directions=None,
-    t_values=None,
-    hol_tol=1e-3,
-    t0_tol=1e-9,
-    frozen_tol=1e-12,
-):
+def verify_conclusions(hom, F0: JetSection, R: Relation, L: Landscape, eps, t_values=None):
     """Residual report for the five step conclusions, all measured on grids.
 
-    The holonomy check runs finite differences on the corrugated map itself,
-    independent of the analytic derivative carried by the homotopy.  Each node
-    reads one `hom.eval_times` column over `t_values`; the start check reads
-    the one-time `hom.eval(0, x)`, so both read paths are checked.
+    The holonomy check runs finite differences on the corrugated map itself
+    along every axis, independent of the analytic derivative carried by the
+    homotopy.  Each node reads one `hom.eval_times` column over `t_values`;
+    the start check reads the one-time `hom.eval(0, x)`, so both read paths
+    are checked.
     """
     if t_values is None:
         t_values = np.linspace(0.0, 1.0, 11)
@@ -460,7 +439,7 @@ def verify_conclusions(
                 res_frozen = max(res_frozen, float(np.linalg.norm(y - f0)), float(np.linalg.norm(phi - p0)))
             res_c0 = max(res_c0, float(np.linalg.norm(y - f0)))
 
-    report = {"starts_at_input": {"residual": res0, "tol": t0_tol, "passed": res0 <= t0_tol}}
+    report = {"starts_at_input": {"residual": res0, "tol": _VERIFY_T0_TOL, "passed": res0 <= _VERIFY_T0_TOL}}
     report["stays_in_relation"] = {
         "residual": 0.0 if member_ok else 1.0,
         "margin_min": float(margin_min) if member_ok else 0.0,
@@ -470,19 +449,18 @@ def verify_conclusions(
     }
     report["frozen_outside"] = {
         "residual": res_frozen,
-        "tol": frozen_tol,
-        "passed": res_frozen <= frozen_tol,
+        "tol": _VERIFY_FROZEN_TOL,
+        "passed": res_frozen <= _VERIFY_FROZEN_TOL,
     }
     report["value_drift"] = {"residual": res_c0, "tol": eps, "passed": res_c0 <= eps}
 
-    if directions is None:
-        directions = list(np.eye(L.grid.dim))
+    directions = list(np.eye(L.grid.dim))
     sec1 = hom.section_at(1.0)
     probe = JetSection(f=sec1.f, phi=sec1.phi, df=None)  # force finite differences
     res_hol = 0.0
     for x in L.k0.nodes():
         res_hol = max(res_hol, holonomy_residual(probe, x, directions))
-    report["holonomic_near_k0"] = {"residual": res_hol, "tol": hol_tol, "passed": res_hol <= hol_tol}
+    report["holonomic_near_k0"] = {"residual": res_hol, "tol": _VERIFY_HOL_TOL, "passed": res_hol <= _VERIFY_HOL_TOL}
 
     report["all_passed"] = all(v["passed"] for k, v in report.items() if isinstance(v, dict))
     return report

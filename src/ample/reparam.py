@@ -2,15 +2,16 @@
 phi with phi(0) = 0 making a loop's average hit a prescribed target.
 
 phi is the inverse of psi(t) = int_0^t rho, where the density
-rho = (LEAK + sum_k w_k m_k) / (1 + LEAK) mixes unit-mass mollifiers m_k of
-one half-width _ETA at the fixed centres c_k = k / _CERTIFICATE_M with a
-uniform leak.  By the substitution int gamma(phi(s)) ds = int gamma(u) rho(u) du
-the average of gamma . phi is (w @ a + LEAK abar) / (1 + LEAK), affine in w
-(a_k the mollifier dots, abar the plain average), so the weights come from a
-solve in the target's d dimensions: the max-entropy weights of Sukumar
-(IJNME 61, 2004), positive exactly when the target lies in the open hull of
-the a_k.  Partial integrals of composed loops keep to the u-side, where
-the quadrature is well resolved.
+rho = sum_k w_k m_k mixes unit-mass mollifiers m_k of one half-width _ETA at
+the fixed centres c_k = k / _CERTIFICATE_M.  Each support reaches the two
+neighbouring centres, so the supports overlap and cover the circle, and rho
+is positive wherever every weight is.  By the substitution
+int gamma(phi(s)) ds = int gamma(u) rho(u) du the average of gamma . phi is
+w @ a, linear in w (a_k the mollifier dots), so the weights come from a solve
+in the target's d dimensions: the max-entropy weights of Sukumar (IJNME 61,
+2004), positive exactly when the target lies in the open hull of the a_k.
+Partial integrals of composed loops keep to the u-side, where the quadrature
+is well resolved.
 """
 
 from collections import OrderedDict
@@ -18,7 +19,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .errors import NoConvergence, NotSurrounded
-from .loops import LoopFamily, average, surround_certificate
+from .loops import LoopFamily, surround_certificate
 from .smooth import bump, cumulative_simpson, quad_integral
 
 __all__ = [
@@ -29,16 +30,14 @@ __all__ = [
     "reparametrize_family",
 ]
 
-LEAK = 1e-3
 _SOLVE_TOL = 1e-8  # residual of average(gamma . phi_w) - g accepted by adjust_weights
 _NEWTON_MAX = 100  # damped Newton steps of adjust_weights before it gives up
 _CERTIFICATE_M = 64  # loop samples per surround certificate, and mollifier centres
 _CENTERS = np.arange(_CERTIFICATE_M) / _CERTIFICATE_M
-_ETA = 1.0 / (4 * _CERTIFICATE_M)  # mollifier half-width: supports are disjoint
+_ETA = 1.0 / _CERTIFICATE_M  # mollifier half-width: each support reaches the two neighbouring centres
 _REPARAM_CACHE = 8192  # weights (and circle maps) kept per ReparametrizedFamily
 _DOT_PANELS = 256  # Simpson panels over each mollifier's support in _mollifier_dots
-_ABAR_M = 2048  # Simpson panels of the plain loop average
-_U_PANELS = 96 * 4 * _CERTIFICATE_M  # panels per unit of u in integral_over: 96 per _ETA
+_U_PANELS = 96 * _CERTIFICATE_M  # panels per unit of u in integral_over: 96 per _ETA
 
 _BUMP_MASS = float(quad_integral(bump, -1.0, 1.0, 4096))
 
@@ -110,14 +109,17 @@ class CircleReparam:
 
 
 def _mix_density(weights):
-    """The density (LEAK + sum_k w_k m_k) / (1 + LEAK) of the mollifiers at
-    the fixed centres.  Their supports are disjoint, so each s reads only the
-    mollifier of its nearest centre."""
+    """The density sum_k w_k m_k of the mollifiers at the fixed centres.  Each
+    support ends at the neighbouring centres, so s reads only the two centres
+    that bracket it, c_k <= s < c_{k+1}."""
     w = np.asarray(weights, dtype=float)
 
     def density(s):
-        k = np.rint(np.asarray(s, dtype=float) * _CERTIFICATE_M)
-        return (LEAK + w[k.astype(int) % _CERTIFICATE_M] * _MOLLIFIER(s - k / _CERTIFICATE_M)) / (1.0 + LEAK)
+        s = np.asarray(s, dtype=float)
+        k = np.floor(s * _CERTIFICATE_M)
+        i = k.astype(int) % _CERTIFICATE_M
+        u = s - k / _CERTIFICATE_M
+        return w[i] * _MOLLIFIER(u) + w[(i + 1) % _CERTIFICATE_M] * _MOLLIFIER(u - _ETA)
 
     return density
 
@@ -134,18 +136,17 @@ def _mollifier_dots(loop, centers):
     return quad_integral(integrand, -_ETA, _ETA, _DOT_PANELS)
 
 
-def _max_entropy_weights(a, abar, g):
-    """Positive weights w summing to 1 with (w @ a + LEAK abar) / (1 + LEAK) = g.
+def _max_entropy_weights(a, g):
+    """Positive weights w summing to 1 with w @ a = g.
 
-    That holds exactly when w @ z = 0 for z_k = a_k - g', with
-    g' = (1 + LEAK) g - LEAK abar.  The max-entropy weights
-    w_k ∝ exp(lam . z_k) do this at the minimiser lam of the convex dual
-    log sum_k exp(lam . z_k), found by damped Newton in d unknowns.  The
-    minimiser exists exactly when g' lies in the open hull of the a_k;
+    That holds exactly when w @ z = 0 for z_k = a_k - g.  The max-entropy
+    weights w_k ∝ exp(lam . z_k) do this at the minimiser lam of the convex
+    dual log sum_k exp(lam . z_k), found by damped Newton in d unknowns.  The
+    minimiser exists exactly when g lies in the open hull of the a_k;
     otherwise lam runs off and NoConvergence carries the last w (on the
     simplex, some entries possibly underflowed to 0) and its residual.
     """
-    z = a - ((1.0 + LEAK) * g - LEAK * abar)
+    z = a - g
 
     def dual(lam):
         e = z @ lam
@@ -157,7 +158,7 @@ def _max_entropy_weights(a, abar, g):
     f, w = dual(lam)
     for _ in range(_NEWTON_MAX):
         grad = w @ z
-        if np.linalg.norm(grad) <= (1.0 + LEAK) * _SOLVE_TOL:
+        if np.linalg.norm(grad) <= _SOLVE_TOL:
             return w
         zc = z - grad
         step = np.linalg.lstsq((w[:, None] * zc).T @ zc, -grad, rcond=None)[0]
@@ -167,7 +168,7 @@ def _max_entropy_weights(a, abar, g):
             tau *= 0.5
             f_new, w_new = dual(lam + tau * step)
         lam, f, w = lam + tau * step, f_new, w_new
-    res = float(np.linalg.norm(w @ z)) / (1.0 + LEAK)
+    res = float(np.linalg.norm(w @ z))
     raise NoConvergence(
         f"max-entropy weights {w}: average residual {res:.3e} after {_NEWTON_MAX} Newton steps, "
         f"|lambda| = {np.linalg.norm(lam):.3e}",
@@ -181,12 +182,11 @@ def adjust_weights(gamma, g, centers):
     the reparametrisation of the mollifiers at the centres: the max-entropy
     weights of the mollifier dots (see _max_entropy_weights).
 
-    Returns w and the average (w @ a + LEAK abar) / (1 + LEAK) that it gives.
+    Returns w and the average w @ a that it gives.
     """
-    g = np.asarray(g, dtype=float).ravel()
-    a, abar = _mollifier_dots(gamma, centers), average(gamma, _ABAR_M)
-    w = _max_entropy_weights(a, abar, g)
-    return w, (w @ a + LEAK * abar) / (1.0 + LEAK)
+    a = _mollifier_dots(gamma, centers)
+    w = _max_entropy_weights(a, np.asarray(g, dtype=float).ravel())
+    return w, w @ a
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ class ReparametrizedFamily(LoopFamily):
     value or a partial integral needs phi.  reparametrize_family solves the
     nodes' weights at the build and keeps them as the family's entries;
     other points are solved when first read.  Averages need no phi; they
-    are (w @ a(x, t) + LEAK abar(x, t)) / (1 + LEAK) by substitution.
+    are w @ a(x, t) by substitution.
     """
 
     def __init__(self, inner, g):
@@ -250,8 +250,7 @@ class ReparametrizedFamily(LoopFamily):
         w, avg1, _ = self._entry(x)
         if t == 1.0:
             return avg1
-        loop = self.inner.loop_at(x, t)
-        return (w @ _mollifier_dots(loop, _CENTERS) + LEAK * average(loop, _ABAR_M)) / (1.0 + LEAK)
+        return w @ _mollifier_dots(self.inner.loop_at(x, t), _CENTERS)
 
 
 def reparametrize_family(family, g, grid):

@@ -5,6 +5,7 @@ import pytest
 
 from ample import loops
 from ample.corrugation import (
+    _AVG_M,
     CorrugationJob,
     choose_N,
     corrugated_derivative,
@@ -93,7 +94,7 @@ def corrugation_direct(job, x, t):
     M = max(2048, 512 * int(np.ceil(abs(z))))
     M += M % 2
     I = job.family.integral_over(x, t, 0.0, z, M=M)
-    return (I - z * job.average_at(x, t)) / job.N
+    return (I - z * job.family.average_at(x, t, M=_AVG_M)) / job.N
 
 
 def pair2():
@@ -253,14 +254,6 @@ class TestChooseN:
         pts = self.grid_points()[:7]
         sup_norms(CorrugationJob(pair2(), 1.0, fam), pts, [0.5, 1.0])
         assert fam.evals == (1 + 2 * 2) * len(pts) * 2
-
-    def test_replace_starts_an_empty_cache(self):
-        job = CorrugationJob(pair2(), 1.0, CircleFamily())
-        job.average_at(np.array([0.3, 0.1]), 0.5)
-        other = replace(job, N=2.0)
-        assert len(job._avg_cache) == 1 and other._avg_cache == {}
-        with pytest.raises(TypeError):
-            CorrugationJob(pair2(), 1.0, CircleFamily(), {})
 
     def test_one_over_n_decay(self):
         fam = CircleFamily()

@@ -172,19 +172,38 @@ class TestVerifyConclusions:
             assert_bit_equal(got, verify_conclusions(PerTimeOracle(hom), F0, R, L, 0.05, t_values=t_values))
 
 
-@functools.cache
-def immersed_interval():
-    """improve on immersions of [0, 1] into the plane (|phi| > 1e-3) from the
-    holonomic F0 = ((x, 0), (1, 0)) with eps 0.1, K0 = [1/4, 3/4] and K1
-    everything, on 8 cells."""
+def interval_problem(f):
+    """improve on immersions of [0, 1] into the plane (|phi| > 1e-3) from
+    F0 = (f, (1, 0)) with eps 0.1, K0 = [1/4, 3/4] and K1 everything, on 8
+    cells."""
     grid = box_grid([0.0], [1.0], [8])
     L = Landscape(grid=grid, k0=GridRegion.from_box(grid, [0.25], [0.75]), k1=GridRegion.full(grid))
     R = Relation(
         member=lambda jet: np.linalg.norm(jet.phi) > 1e-3,
         margin=lambda jet: max(0.0, float(np.linalg.norm(jet.phi)) - 1e-3),
     )
-    F0 = JetSection(f=lambda x: np.array([x[0], 0.0]), phi=lambda x: np.array([[1.0], [0.0]]))
+    F0 = JetSection(f=f, phi=lambda x: np.array([[1.0], [0.0]]))
     return R, F0, L, improve(R, F0, L, 0.1)
+
+
+@functools.cache
+def immersed_interval():
+    """The interval problem from the holonomic F0 = ((x, 0), (1, 0))."""
+    return interval_problem(lambda x: np.array([x[0], 0.0]))
+
+
+@functools.cache
+def flat_interval():
+    """The interval problem from the flat F0 = (0, (1, 0))."""
+    return interval_problem(lambda x: np.zeros(2))
+
+
+def off_node_holonomy(hom, n):
+    """The analytic holonomy defect |(Df_1 - phi_1) v| of the final section,
+    largest over n random points of K0 (N pi(x) is an integer at every node)."""
+    sec = hom.section_at(1.0)
+    xs = np.random.default_rng(0).uniform(0.25, 0.75, (n, 1))
+    return max(float(np.linalg.norm(sec.d_f(x)[:, 0] - sec.phi(x)[:, 0])) for x in xs)
 
 
 class TestImprove:
@@ -193,9 +212,28 @@ class TestImprove:
         assert verify_conclusions(hom, F0, R, L, 0.1)["all_passed"]
 
     def test_holonomic_off_the_nodes(self):
-        # the analytic holonomy defect |(Df_1 - phi_1) v| of the final section
-        # at points of K0 off the nodes (N pi(x) is an integer at every node)
-        _, _, _, hom = immersed_interval()
-        sec = hom.section_at(1.0)
-        xs = np.random.default_rng(0).uniform(0.25, 0.75, (200, 1))
-        assert max(float(np.linalg.norm(sec.d_f(x)[:, 0] - sec.phi(x)[:, 0])) for x in xs) <= 1e-6
+        assert off_node_holonomy(immersed_interval()[3], 200) <= 1e-6
+
+    def test_reparametrised_loop_keeps_the_loop_speed(self):
+        # gamma . phi at t = 1 runs at most 10 times faster than gamma: the
+        # circle map's density is bounded below by its weights
+        gamma = immersed_interval()[3].stages[0].gamma
+        s = np.linspace(0.0, 1.0, 20001)
+
+        def top_step(vals):
+            return np.max(np.linalg.norm(np.diff(vals, axis=0), axis=1))
+
+        for x in ([0.1], [0.5], [0.9]):
+            x = np.array(x)
+            assert top_step(gamma.eval(x, 1.0, s)) <= 10.0 * top_step(gamma.inner.eval(x, 1.0, s))
+
+    def test_flat_interval_builds(self):
+        # the finite-difference holonomy check does not yet resolve the
+        # corrugation here, so every other conclusion is checked, and the
+        # holonomy analytically off the nodes
+        R, F0, L, hom = flat_interval()
+        assert hom.stages[0].N <= 128
+        report = verify_conclusions(hom, F0, R, L, 0.1)
+        for key in ("starts_at_input", "stays_in_relation", "frozen_outside", "value_drift"):
+            assert report[key]["passed"], key
+        assert off_node_holonomy(hom, 50) <= 1e-6

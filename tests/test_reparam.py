@@ -25,13 +25,14 @@ def circle_loop(center=(0.0, 0.0), radius=1.0):
     return Loop(fn)
 
 
-def subst_average(loop, rp, M=32768):
-    """average(gamma . phi) through the exact change of variables."""
+def subst_average(loop, density, M=32768):
+    """average(gamma . phi) through the exact change of variables, with
+    density the unit-mass density of phi^-1."""
     u = np.linspace(0.0, 1.0, M + 1)
     w = np.ones(M + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    vals = loop(u) * rp.density_normalized(u)[:, None]
+    vals = loop(u) * density(u)[:, None]
     return (w @ vals) / (3.0 * M)
 
 
@@ -64,14 +65,22 @@ class TestMollifier:
         assert 3.0 <= ratio <= 5.0
 
 
-def mixed_reparam(weights, centers, eta=reparam._ETA):
-    """CircleReparam of the density (LEAK + sum_i w_i m_i) / (1 + LEAK), the
-    m_i unit-mass mollifiers of half-width eta at any centres."""
+def mixed_density(weights, centers, eta=reparam._ETA):
+    """The density sum_i w_i m_i, the m_i unit-mass mollifiers of half-width
+    eta at any centres."""
     w = np.asarray(weights, dtype=float)
     ms = [DeltaMollifier(c, eta) for c in centers]
-    return CircleReparam(
-        lambda s: (reparam.LEAK + np.tensordot(w, np.stack([m(s) for m in ms]), axes=1)) / (1.0 + reparam.LEAK), eta
-    )
+    return lambda s: np.tensordot(w, np.stack([m(s) for m in ms]), axes=1)
+
+
+FLOOR = 1e-3  # uniform mass that keeps a few sparse supports' density positive
+
+
+def mixed_reparam(weights, centers, eta=reparam._ETA):
+    """CircleReparam of the density (FLOOR + sum_i w_i m_i) / (1 + FLOOR):
+    the floor makes phi^-1 invertible between sparse supports."""
+    density = mixed_density(weights, centers, eta)
+    return CircleReparam(lambda s: (FLOOR + density(s)) / (1.0 + FLOOR), eta)
 
 
 class StoredGridReparam(CircleReparam):
@@ -110,15 +119,14 @@ class TestReparamFromWeights:
     def test_single_center_concentrates(self):
         lp = circle_loop()
         eta = 0.05
-        rp = mixed_reparam([1.0], [0.0], eta=eta)
-        avg = subst_average(lp, rp)
-        # everything but the leak mass sits within eta of s = 0
-        assert np.linalg.norm(avg - lp(np.array([0.0]))[0]) <= 4.0 * (eta**2 + reparam.LEAK)
+        avg = subst_average(lp, mixed_density([1.0], [0.0], eta=eta))
+        # all the mass sits within eta of s = 0
+        assert np.linalg.norm(avg - lp(np.array([0.0]))[0]) <= 4.0 * eta**2
 
     def test_uniform_quarters_average_zero(self):
         lp = circle_loop()
-        rp = mixed_reparam(np.full(4, 0.25), [0.0, 0.25, 0.5, 0.75])
-        assert np.linalg.norm(subst_average(lp, rp)) <= 1e-12  # symmetry
+        density = mixed_density(np.full(4, 0.25), [0.0, 0.25, 0.5, 0.75])
+        assert np.linalg.norm(subst_average(lp, density)) <= 1e-12  # symmetry
 
     def test_phi_fixes_origin_and_degree(self):
         rp = mixed_reparam([0.5, 0.3, 0.2], [0.1, 0.45, 0.8])
@@ -128,12 +136,12 @@ class TestReparamFromWeights:
         assert np.all(np.diff(ph) > 0)
 
     def test_degenerate_weights(self):
-        # no floor: a weight of 1e-6 still gives a strictly increasing phi
-        # that spends almost no time near its centre
-        rp = mixed_reparam([1e-6, 1.0 - 1e-6], [0.1, 0.6])
+        # a weight of 1e-6 still gives a strictly increasing phi that spends
+        # almost no time near its centre
+        rp = mixed_reparam([1e-6, 1.0 - 1e-6], [0.1, 0.6], eta=1.0 / 256)
         ph = rp.phi(np.linspace(0, 1, 4001))
         assert np.all(np.diff(ph) > 0)
-        assert np.linalg.norm(subst_average(circle_loop(), rp) - circle_loop()(0.6)[0]) <= 2e-3
+        assert np.linalg.norm(subst_average(circle_loop(), rp.density_normalized) - circle_loop()(0.6)[0]) <= 2e-3
         # coincident centres span no hull: a target off their common dot is
         # refused, with the weights reached summing to 1
         with pytest.raises(NoConvergence) as info:
@@ -141,13 +149,22 @@ class TestReparamFromWeights:
         w = info.value.best_value
         assert w.min() >= 0 and abs(float(w.sum()) - 1.0) <= 1e-12 and info.value.best_residual > 0.5
 
-    def test_mix_density_reads_nearest_centre(self):
-        # the fixed-centre density against the sum over every mollifier
-        w = np.random.default_rng(4).dirichlet(np.ones(64))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 20.0))
+    def test_mix_density_is_the_overlapping_sum(self, seed, alpha):
+        # the two bracketing centres' density against the sum over every
+        # mollifier; it is a unit-mass density bounded below by its weights
+        w = np.random.default_rng(seed).dirichlet(np.full(64, alpha))
         s = np.concatenate([np.linspace(-1.0, 2.0, 30001), (np.arange(64) + 0.5) / 64, np.arange(64) / 64])
         rows = np.stack([DeltaMollifier(c, reparam._ETA)(s) for c in reparam._CENTERS])
-        want = (reparam.LEAK + w @ rows) / (1.0 + reparam.LEAK)
-        assert np.max(np.abs(reparam._mix_density(w)(s) - want)) <= 1e-12 * np.max(want)
+        want = w @ rows
+        density = reparam._mix_density(w)
+        got = density(s)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        # the panels of each mollifier's unit-mass normalisation (4096 over its support)
+        assert abs(float(quad_integral(density, 0.0, 1.0, 2048 * 64)) - 1.0) <= 1e-12
+        peak = float(DeltaMollifier(0.0, reparam._ETA)(0.0))
+        assert np.all(got >= 0.5 * w.min() * peak)
 
 
 class TestTableNodes:
@@ -177,18 +194,15 @@ def assert_feasible(lp, g, centers, w):
     """w is positive, sums to 1 and reparametrises lp to average g."""
     assert w.min() > 0
     assert abs(float(w.sum()) - 1.0) <= 1e-12
-    rp = mixed_reparam(w, centers)
-    assert np.linalg.norm(subst_average(lp, rp) - g) <= 1e-8
-    assert abs(float(rp.phi(0.0))) <= 1e-9
+    assert np.linalg.norm(subst_average(lp, mixed_density(w, centers)) - g) <= 1e-8
 
 
 def affine_weights(lp, g, centers):
     """The weights of d + 1 centres from the affine system of the average:
-    (w @ a + LEAK abar) / (1 + LEAK) = g and sum(w) = 1."""
+    w @ a = g and sum(w) = 1."""
     a = reparam._mollifier_dots(lp, centers)
-    abar = average(lp, 2048)
     J = np.vstack([a.T, np.ones(len(centers))])
-    return np.linalg.solve(J, np.append((1.0 + reparam.LEAK) * np.asarray(g) - reparam.LEAK * abar, 1.0))
+    return np.linalg.solve(J, np.append(np.asarray(g), 1.0))
 
 
 class TestAdjustWeights:
@@ -201,10 +215,10 @@ class TestAdjustWeights:
     def test_circle_quarters(self):
         lp = circle_loop()
         w, avg = adjust_weights(lp, [0.0, 0.0], [0.0, 0.25, 0.5, 0.75])
-        rp = mixed_reparam(w, [0.0, 0.25, 0.5, 0.75])
-        assert np.linalg.norm(subst_average(lp, rp)) <= 1e-8
+        got = subst_average(lp, mixed_density(w, [0.0, 0.25, 0.5, 0.75]))
+        assert np.linalg.norm(got) <= 1e-8
         # the average returned with the weights is the one they give
-        assert np.linalg.norm(avg - subst_average(lp, rp)) <= 1e-8
+        assert np.linalg.norm(avg - got) <= 1e-8
 
     @settings(max_examples=25, deadline=None)
     @given(radius=st.floats(0.0, 0.998), angle=st.floats(0.0, 1.0))
@@ -243,7 +257,7 @@ class TestAdjustWeights:
         a = reparam._mollifier_dots(lp, centers)
 
         def avg_of(w):
-            return subst_average(lp, mixed_reparam(w, centers))
+            return subst_average(lp, mixed_density(w, centers))
 
         h = 1e-4
         w0 = np.array([0.5, 0.25, 0.25])
@@ -251,7 +265,7 @@ class TestAdjustWeights:
             d = np.zeros(3)
             d[i], d[j] = 1.0, -1.0
             fd = (avg_of(w0 + h * d) - avg_of(w0 - h * d)) / (2 * h)
-            model = (a[i] - a[j]) / (1.0 + reparam.LEAK)
+            model = a[i] - a[j]
             assert np.linalg.norm(fd - model) <= 0.05 * (1.0 + np.linalg.norm(model))
 
     def test_average_stays_in_hull(self):
@@ -261,8 +275,7 @@ class TestAdjustWeights:
         g = np.array([0.1, 0.25])
         centers, _coords, _ = loops.surround_certificate(lp, g, M=64)
         w, _ = adjust_weights(lp, g, centers)
-        rp = mixed_reparam(w, centers)
-        avg = subst_average(lp, rp)
+        avg = subst_average(lp, mixed_density(w, centers))
         samples = lp(np.arange(64) / 64)
         # oracle: nonnegative weights on the samples summing to 1 that hit avg
         # (the affine row is scaled like the coordinate rows)
@@ -287,7 +300,7 @@ class TestAdjustWeights:
         sigma = np.linalg.svd(np.vstack([a.T, np.ones(dim + 1)]), compute_uv=False)[-1]
         assume(sigma > 1e-2)
         want = rng.dirichlet(np.ones(dim + 1))
-        g = (want @ a + reparam.LEAK * average(lp, 2048)) / (1.0 + reparam.LEAK)
+        g = want @ a
         w, _ = adjust_weights(lp, g, centers)
         assert np.max(np.abs(w - affine_weights(lp, g, centers))) <= 2e-8 / sigma
         assert np.max(np.abs(w - want)) <= 2e-8 / sigma
