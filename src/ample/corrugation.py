@@ -15,7 +15,11 @@ A(r) = int_0^r (gamma - avg), so sup |Corr| = max_r |A| / N, and the
 remainder is bounded by max_r |B|_F / N with B built from central differences
 of gamma in x.  The maxima run over every phase r in [0, 1] at each sampled
 (x, t); the sample points only see the slow x-dependence of gamma and cannot
-alias with N.
+alias with N.  Each sampled point is one array pass: the family's samples at
+x and at its central-difference points, for every grade, are stacked and
+integrated by one cumulative quadrature, and an inherited mean is taken from
+each sample array on its own, so the constants are those of one quadrature
+per (x, t) bit for bit.
 """
 
 import math
@@ -24,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BudgetExceeded
-from .jets import DualPair, fd_jacobian
+from .jets import FD_SCALE, DualPair, fd_jacobian
 from .loops import LoopFamily
-from .smooth import cumulative_simpson, quad_integral
+from .smooth import cumulative_simpson, simpson_weights
 
 __all__ = [
     "CorrugationJob",
@@ -41,6 +45,8 @@ __all__ = [
 _AVG_M = 512  # Simpson panels of a loop average
 _FRAC_M = 512  # Simpson panels over a fractional period, and phase nodes of the bound
 _K_MAX = 30  # choose_N gives up past N = 2^_K_MAX
+_PHASES = np.linspace(0.0, 1.0, _FRAC_M + 1)  # phase nodes of the bound
+_MEAN_W = simpson_weights(_AVG_M)
 
 
 @dataclass
@@ -101,37 +107,57 @@ def corrugated_derivative(job: CorrugationJob, x, t):
     return np.outer(val, job.p.pi) + remainder(job, x, t)
 
 
-def _phase_max(vals, avg, s):
-    """max over the phase nodes s of |int_0^r vals - r avg| (Frobenius)."""
-    A = cumulative_simpson(vals, s[1] - s[0]) - s.reshape((-1,) + (1,) * avg.ndim) * avg
-    return float(np.sqrt(np.max(np.sum(A.reshape(len(s), -1) ** 2, axis=1))))
+def _frobenius_max(A):
+    """Per grade (axis 1), the max over the phase nodes (axis 0) of the
+    Frobenius norm over the remaining axes, summed in their C order."""
+    return np.sqrt(np.max(np.sum(A.reshape(A.shape[:2] + (-1,)) ** 2, axis=2), axis=0)).tolist()
 
 
-def _phase_constants(job: CorrugationJob, x, t):
-    """(max_r |A|, max_r |B|_F) at one (x, t), from one cumulative quadrature
-    over the _FRAC_M phase nodes; B uses the central differences of
-    `remainder`.
+def _phase_constants(fam, x, t_values):
+    """[(max_r |A|, max_r |B|_F) for t in t_values] at one point x.
 
-    The family is sampled once at x and once at each of the 2d shifted points.
-    A family that keeps the inherited `LoopFamily.average_at` averages those
-    same samples: its mean is Simpson over linspace(0, 1, _AVG_M + 1), which
-    are the phase nodes, so the shared mean is that average bit for bit.  A
-    family with its own mean (warped, blended, reparametrised) is asked for it.
+    One pass per point: the family is sampled over the phase nodes at x and
+    at the 2d points of `fd_jacobian`'s central difference, for every grade,
+    and the samples go into one (phase, grade, dim_f, 1 + d) array whose
+    first column holds the samples at x and the others their central
+    differences, so one cumulative quadrature gives A and B at every grade.
+
+    A family that keeps the inherited `LoopFamily.average_at` has its mean
+    taken from each sample array on its own, by the Simpson sum that
+    `quad_integral` does: its nodes linspace(0, 1, _AVG_M + 1) are the phase
+    nodes, so that mean is the family's average bit for bit (one matrix
+    product over all the stacked samples differs from it in the last bits).
+    A family with its own mean (warped, blended, reparametrised) is asked for
+    it at each of the points.
     """
-    s = np.linspace(0.0, 1.0, _FRAC_M + 1)
-    fam = job.family
-    shared = _AVG_M == _FRAC_M and type(fam).average_at is LoopFamily.average_at
+    inherited = _AVG_M == _FRAC_M and type(fam).average_at is LoopFamily.average_at
 
-    def samples(z):
-        vals = np.asarray(fam.eval(z, t, s), dtype=float)
-        avg = quad_integral(lambda _: vals, 0.0, 1.0, _AVG_M) if shared else fam.average_at(z, t, M=_AVG_M)
-        return vals, avg
+    def rows(z, t):
+        """The phase samples at (z, t), then their mean as one more row."""
+        vals = np.asarray(fam.eval(z, t, _PHASES), dtype=float)
+        out = np.empty((len(vals) + 1,) + vals.shape[1:])
+        out[:-1] = vals
+        out[-1] = _MEAN_W @ vals * (1.0 / _AVG_M) / 3.0 if inherited else fam.average_at(z, t, M=_AVG_M)
+        return out
 
-    vals, avg = samples(x)
-    # differentiate the phase samples and the average together: the first
-    # _FRAC_M + 1 rows are gamma(x, t, s), the last row is its average
-    d = fd_jacobian(lambda z: np.vstack(samples(z)), x)
-    return _phase_max(vals, avg, s), _phase_max(d[:-1], d[-1], s)
+    h = FD_SCALE * (1.0 + np.linalg.norm(x))
+    shifts = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        shifts.append((x + e, x - e))
+    # cols[:, j, :, 0] holds the rows at x and grade j, cols[:, j, :, i] their
+    # central difference along axis i - 1
+    cols = None
+    for j, t in enumerate(t_values):
+        here = rows(x, t)
+        if cols is None:
+            cols = np.empty((len(here), len(t_values), here.shape[1], 1 + x.size))
+        cols[:, j, :, 0] = here
+        for i, (plus, minus) in enumerate(shifts, 1):
+            cols[:, j, :, i] = (rows(plus, t) - rows(minus, t)) / (2.0 * h)
+    A = cumulative_simpson(cols[:-1], _PHASES[1]) - _PHASES.reshape((-1,) + (1,) * (cols.ndim - 1)) * cols[-1]
+    return list(zip(_frobenius_max(A[..., 0]), _frobenius_max(A[..., 1:])))
 
 
 def sup_norms(job: CorrugationJob, points, t_values):
@@ -141,16 +167,17 @@ def sup_norms(job: CorrugationJob, points, t_values):
     over every phase r in [0, 1], divided by N: the corrugation equals
     A(x, t, frac(N pi(x))) / N whatever N is, so the bound holds at every x
     whose phase the grid misses, including grids where N pi(x) is an integer
-    at every node.  Each (x, t) evaluates the family over the phase nodes at
-    x and at the 2d points of one central difference; a family with its own
-    mean is also asked for it at those points (see `_phase_constants`).
+    at every node.  Each point x is one pass (see `_phase_constants`): the
+    family is evaluated over the phase nodes at x and at the 2d points of one
+    central difference, once per grade, and a family with its own mean is
+    also asked for it at those points.
     """
+    t_values = [float(t) for t in t_values]
     c_corr = 0.0
     c_rem = 0.0
     for xx in points:
         x = np.atleast_1d(np.asarray(xx, dtype=float))
-        for t in t_values:
-            a, b = _phase_constants(job, x, float(t))
+        for a, b in _phase_constants(job.family, x, t_values):
             c_corr = max(c_corr, a)
             c_rem = max(c_rem, b)
     return c_corr / job.N, c_rem / job.N

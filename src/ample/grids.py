@@ -56,7 +56,7 @@ class Grid:
         return da
 
 
-def bfs(shape, start, admit):
+def bfs(shape, start, admit, goal=None):
     """Breadth-first search over the axis neighbours of the index grid `shape`,
     on flat C-order node indices.
 
@@ -66,6 +66,10 @@ def bfs(shape, start, admit):
     Neighbours are tried axis by axis, -1 before +1, from a FIFO queue.
     admit(i) decides whether the node with flat index i may be entered; it is
     asked at most once per node and never for `start`.
+
+    With a `goal` index the search returns as soon as the goal is entered (at
+    once when it is `start`): a parent is never changed once set, so the
+    chain from the goal is the one the whole search would give.
     """
     n = 1
     strides = []
@@ -77,6 +81,8 @@ def bfs(shape, start, admit):
     parent[start] = start
     asked = bytearray(n)
     asked[start] = 1
+    if start == goal:
+        return parent
     queue = [start]  # FIFO: the loop reaches every node appended behind it
     for cur in queue:
         for stride, size in axes:
@@ -86,12 +92,16 @@ def bfs(shape, start, admit):
                 asked[nb] = 1
                 if admit(nb):
                     parent[nb] = cur
+                    if nb == goal:
+                        return parent
                     queue.append(nb)
             if k + 1 < size and not asked[cur + stride]:
                 nb = cur + stride
                 asked[nb] = 1
                 if admit(nb):
                     parent[nb] = cur
+                    if nb == goal:
+                        return parent
                     queue.append(nb)
     return parent
 

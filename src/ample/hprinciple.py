@@ -35,6 +35,8 @@ from .jets import (
     psi_project,
     update,
     relation_slice,
+    _check_phi,
+    _send,
 )
 from .loops import WarpedFamily, build_loop_family
 from .smooth import plateau, smoothstep
@@ -183,9 +185,8 @@ class Cutoff:
 class Homotopy:
     """Time-indexed family of jet sections produced by one corrugation step.
 
-    `eval_times(ts, x)` reads a column of times at one point and computes
-    rho(x), f(x), phi(x) and the phase N pi(x) once for it; `eval(t, x)` is
-    its one-time column.
+    `eval_times(ts, x)` reads a column of times at one point and sets it up
+    once (see there); `eval(t, x)` is its one-time column.
     """
 
     def __init__(self, section: JetSection, S: StepLandscape, gamma, N, cutoff: Cutoff, metadata=None):
@@ -207,19 +208,22 @@ class Homotopy:
         return fx + t * rho * corrugation(self._job, x, t)
 
     def eval_times(self, ts, x):
-        """[eval(t, x) for t in ts], bit for bit, with rho(x), f(x), phi(x)
-        and the phase N pi(x) computed once for the whole column."""
+        """[eval(t, x) for t in ts], bit for bit, with the set-up of the
+        column done once: the times are clipped to [0, 1] in one call, and
+        rho(x), f(x), phi(x), phi(x) v and the phase N pi(x) are computed
+        once.  Each time then costs its corrugation, one loop value, the
+        rank-one update and the remainder."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         rho = self.cutoff.rho(x)
         f0 = self.section.f(x)
-        phi0 = self.section.phi(x)
+        phi0 = _check_phi(self.p, self.section.phi(x))
+        phi0_v = phi0 @ self.p.v
         z = np.array([self.N * self.p.pairing(x)])
         out = []
-        for t in ts:
-            t = float(np.clip(t, 0.0, 1.0))
+        for t in np.clip(np.asarray(ts, dtype=float), 0.0, 1.0).tolist():
             y = self._f(t, x, rho, f0)
             w = self.gamma.eval(x, t * rho, z)[0]
-            out.append((y, update(self.p, phi0, w) + remainder(self._warped_job(t), x, 0.0)))
+            out.append((y, _send(self.p, phi0, phi0_v, w) + remainder(self._warped_job(t), x, 0.0)))
         return out
 
     def eval(self, t, x):
@@ -293,8 +297,15 @@ class ConcatenatedHomotopy:
 def _choose_step_n(p, gamma, cutoff, points, eps):
     """Frequency from the 1/N bound over every phase: the slice corrugation
     and its remainder at t in {0.5, 1} (the f-term and its derivative) and
-    the remainder of the cutoff-absorbed families (the phi-term)."""
+    the remainder of the cutoff-absorbed families (the phi-term).
+
+    A trivial cutoff has rho constant, so its cutoff-absorbed families are
+    the slice family at the same grades (rho = 1) or its constant t = 0 loops
+    (rho = 0); their constants cannot raise N and are not computed again.
+    """
     N = choose_N(CorrugationJob(p, 1.0, gamma), points, _STEP_T, eps)
+    if cutoff.trivial:
+        return N
     for t in _STEP_T:
         warped = CorrugationJob(p, 1.0, WarpedFamily(gamma, lambda x, _t=t: _t * cutoff.rho(x)))
         N = max(N, choose_N(warped, points, [0.0], eps))
@@ -407,9 +418,11 @@ def verify_conclusions(hom, F0: JetSection, R: Relation, L: Landscape, eps, t_va
 
     The holonomy check runs finite differences on the corrugated map itself
     along every axis, independent of the analytic derivative carried by the
-    homotopy.  Each node reads one `hom.eval_times` column over `t_values`;
-    the start check reads the one-time `hom.eval(0, x)`, so both read paths
-    are checked.
+    homotopy.  Each node reads one `hom.eval_times` column over `t_values`,
+    set up once per node.  The start check reads `hom.eval(0, x)` at every
+    node rather than the column's t = 0 entry: `eval` is the one-time path
+    that callers and `section_at` use, and a fault in it alone must fail
+    `starts_at_input`, so both read paths are checked.
     """
     if t_values is None:
         t_values = np.linspace(0.0, 1.0, 11)

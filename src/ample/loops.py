@@ -288,7 +288,7 @@ def _grid_path(component, start, goal):
     if not mask[start] or not mask[goal]:
         raise NotSurrounded("path endpoints left the component")
     start, goal = (int(np.ravel_multi_index(i, grid.shape)) for i in (start, goal))
-    prev = bfs(grid.shape, start, mask.ravel().tolist().__getitem__)
+    prev = bfs(grid.shape, start, mask.ravel().tolist().__getitem__, goal=goal)
     if prev[goal] < 0:
         raise NotSurrounded("component is not connected between path endpoints")
     path = [goal]

@@ -17,6 +17,7 @@ __all__ = [
     "bump",
     "tent",
     "plateau",
+    "simpson_weights",
     "quad_integral",
     "cumulative_simpson",
 ]
@@ -72,16 +73,23 @@ def plateau(d, d0, d1):
     return 1.0 - transition(d, d0, d1)
 
 
+def simpson_weights(M):
+    """Composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 of M panels (even,
+    >= 4), before the factor (b - a) / (3 M)."""
+    if M < 4 or M % 2:
+        raise ValueError("Simpson panel count must be even and at least 4")
+    w = np.ones(M + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def quad_integral(f, a, b, M):
     """Composite Simpson integral over [a, b] with M panels (even, >= 4) of a
     vectorized integrand; f maps the M + 1 nodes to values of any shape with
     the nodes on axis 0."""
-    if M < 4 or M % 2:
-        raise ValueError("Simpson panel count must be even and at least 4")
+    w = simpson_weights(M)
     vals = np.asarray(f(np.linspace(a, b, M + 1)), dtype=float)
-    w = np.ones(M + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
     # matmul on a 2-D view is faster than tensordot for the small integrands here
     out = w @ vals.reshape(M + 1, -1)
     return out.reshape(vals.shape[1:]) * ((b - a) / M) / 3.0

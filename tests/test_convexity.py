@@ -411,3 +411,27 @@ class TestGridBFS:
         assert {tuple(map(float, node(i))) for i in reached} == oracle
         for i in reached:
             assert i == first or np.abs(node(i) - node(parent[i])).sum() == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(mask=MASKS, data=st.data())
+    def test_goal_stops_with_the_whole_search_parents(self, mask, data):
+        flat_mask = mask.ravel().tolist()
+        members = np.flatnonzero(mask)
+        assume(len(members) > 0)
+        start = int(members[data.draw(st.integers(0, len(members) - 1))])
+        whole = bfs(mask.shape, start, flat_mask.__getitem__)
+        reached = [i for i, p in enumerate(whole) if p >= 0]
+        goal = reached[data.draw(st.integers(0, len(reached) - 1))]
+        asked = Counter()
+
+        def admit(i):
+            asked[i] += 1
+            return flat_mask[i]
+
+        parent = bfs(mask.shape, start, admit, goal=goal)
+        # every parent the early search set is the whole search's, the goal's
+        # among them; each node is asked at most once, and none for goal = start
+        assert parent[goal] == whole[goal]
+        assert all(p == whole[i] for i, p in enumerate(parent) if p >= 0)
+        assert max(asked.values(), default=0) <= 1 and start not in asked
+        assert goal != start or not asked

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ample import hprinciple, loops
-from ample.corrugation import CorrugationJob, corrugation, remainder
+from ample.corrugation import CorrugationJob, choose_N, corrugation, remainder
 from ample.grids import GridRegion, box_grid
 from ample.hprinciple import (
     ConcatenatedHomotopy,
@@ -54,6 +54,27 @@ class TestChooseStepN:
         # minimal: at half the frequency the peak exceeds eps
         half = CorrugationJob(p, N / 2.0, gamma)
         assert np.linalg.norm(corrugation(half, [1.0 / N, 1.0], 1.0)) > eps
+
+
+    @pytest.mark.parametrize("rho", [1.0, 0.0])
+    def test_trivial_cutoff_bound_is_the_slice_bound(self, rho):
+        # rho = 1 (K1 everything) or rho = 0 (K0 empty): the cutoff-absorbed
+        # families, which a trivial cutoff skips, would not raise N
+        grid = box_grid([0.0, 0.0], [1.0, 1.0], [4, 4])
+        box = GridRegion.from_box(grid, [0.25, 0.25], [0.75, 0.75])
+        if rho:
+            L = Landscape(grid=grid, k0=box, k1=GridRegion.full(grid))
+        else:
+            L = Landscape(grid=grid, k0=GridRegion.empty(grid), k1=box)
+        cutoff = Cutoff(L)
+        assert cutoff.trivial and cutoff.rho(np.array([0.5, 0.5])) == rho
+        p = DualPair(pi=[1.0, 0.0], v=[1.0, 0.0])
+        gamma = GradedCircleFamily()
+        eps = 0.01
+        N = _choose_step_n(p, gamma, cutoff, grid.nodes(), eps)
+        for t in hprinciple._STEP_T:
+            warped = CorrugationJob(p, 1.0, loops.WarpedFamily(gamma, lambda z, _t=t: _t * cutoff.rho(z)))
+            assert choose_N(warped, grid.nodes(), [0.0], eps) <= N
 
 
 def graded_homotopy(N):
@@ -170,6 +191,39 @@ class TestVerifyConclusions:
             F0 = (hom if isinstance(hom, Homotopy) else hom.stages[0]).section
             got = verify_conclusions(hom, F0, R, L, 0.05, t_values=t_values)
             assert_bit_equal(got, verify_conclusions(PerTimeOracle(hom), F0, R, L, 0.05, t_values=t_values))
+
+
+class BasedCircleFamily(GradedCircleFamily):
+    """GradedCircleFamily moved to the base point phi(x) v of graded_homotopy's
+    section, so the homotopy starts exactly at the section."""
+
+    def eval(self, x, t, s):
+        x = np.atleast_1d(x)
+        return np.array([np.cos(x[0]), x[1]]) + super().eval(x, t, s)
+
+
+class ShiftedEval(Homotopy):
+    """A Homotopy whose eval alone is moved by 1e-3; eval_times is intact."""
+
+    def eval(self, t, x):
+        y, phi = super().eval(t, x)
+        return y + 1e-3, phi
+
+
+class TestVerifyReadsEval:
+    def test_start_check_reads_eval(self):
+        hom = graded_homotopy(8.0)
+        args = (hom.section, hom.S, BasedCircleFamily(), hom.N, hom.cutoff)
+        R = Relation(member=lambda jet: True, margin=lambda jet: 1.0)
+        L = hom.S.landscape
+        good = verify_conclusions(Homotopy(*args), hom.section, R, L, 0.05)
+        bad = verify_conclusions(ShiftedEval(*args), hom.section, R, L, 0.05)
+        assert good["starts_at_input"]["passed"]
+        assert not bad["starts_at_input"]["passed"] and not bad["all_passed"]
+        assert bad["starts_at_input"]["residual"] >= 1e-3
+        # every other conclusion reads the columns and section_at, not eval
+        for key in ("stays_in_relation", "frozen_outside", "value_drift", "holonomic_near_k0"):
+            assert_bit_equal(bad[key], good[key])
 
 
 def interval_problem(f):

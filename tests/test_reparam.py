@@ -12,7 +12,7 @@ from ample.grids import box_grid
 from ample.jets import DualPair, fd_jacobian
 from ample.loops import Loop, average
 from ample.reparam import CircleReparam, DeltaMollifier, adjust_weights, reparametrize_family
-from ample.smooth import quad_integral
+from ample.smooth import cumulative_simpson, quad_integral
 
 
 def circle_loop(center=(0.0, 0.0), radius=1.0):
@@ -498,9 +498,15 @@ class TestTurningTargets:
 
 def sup_norms_oracle(job, points, t_values):
     """corrugation.sup_norms with the family sampled at the phase nodes and
-    asked for its own mean, at x and at every shifted point."""
+    asked for its own mean, at x and at every shifted point: one cumulative
+    Simpson quadrature per (x, t) for A and one for B."""
     s = np.linspace(0.0, 1.0, corrugation._FRAC_M + 1)
     fam = job.family
+
+    def phase_max(vals, avg):
+        A = cumulative_simpson(vals, s[1] - s[0]) - s.reshape((-1,) + (1,) * avg.ndim) * avg
+        return float(np.sqrt(np.max(np.sum(A.reshape(len(s), -1) ** 2, axis=1))))
+
     c_corr = c_rem = 0.0
     for x in points:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -511,9 +517,35 @@ def sup_norms_oracle(job, points, t_values):
 
             here = stacked(x)
             d = fd_jacobian(stacked, x)
-            c_corr = max(c_corr, corrugation._phase_max(here[:-1], here[-1], s))
-            c_rem = max(c_rem, corrugation._phase_max(d[:-1], d[-1], s))
+            c_corr = max(c_corr, phase_max(here[:-1], here[-1]))
+            c_rem = max(c_rem, phase_max(d[:-1], d[-1]))
     return c_corr / job.N, c_rem / job.N
+
+
+class SpatialEllipseFamily(loops.LoopFamily):
+    """An ellipse in R^3 over a 2-D source whose centre and both axes move
+    with both coordinates, so every (dim_f, d) term of the remainder differs."""
+
+    dim_f = 3
+
+    def centre(self, x):
+        x0, x1 = np.atleast_1d(x)[:2]
+        return np.array([np.sin(2 * np.pi * x0), x0 * x1, np.cos(np.pi * x1)])
+
+    def eval(self, x, t, s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        x0, x1 = np.atleast_1d(x)[:2]
+        a = np.array([1.0 + 0.5 * x0, 0.3 * x1 + 0.2, np.sin(x0 + 2.0 * x1)])
+        b = np.array([0.4 * x0 * x1 - 0.3, np.cos(3.0 * x1 - x0), np.sin(3.0 * x1) + 0.5 * x0])
+        return self.centre(x) + t * (np.cos(2 * np.pi * s)[:, None] * a + np.sin(2 * np.pi * s)[:, None] * b)
+
+
+class OwnMeanSpatialFamily(SpatialEllipseFamily):
+    """SpatialEllipseFamily that defines its mean in closed form (the centre),
+    so the bound asks for it rather than averaging the samples."""
+
+    def average_at(self, x, t, M=256):
+        return self.centre(x)
 
 
 class TestSupNormsMean:
@@ -537,3 +569,15 @@ class TestSupNormsMean:
         pts = [np.array([a]) for a in (0.1, 0.37, 0.8)]
         got = sup_norms(job, pts, [0.5, 1.0])
         assert np.array_equal(got, sup_norms_oracle(job, pts, [0.5, 1.0]))
+
+    @pytest.mark.parametrize("family", [SpatialEllipseFamily, OwnMeanSpatialFamily])
+    def test_matches_oracle_on_a_2d_source(self, family):
+        # d = 2 and dim_f = 3: the Frobenius sums over B run in (dim_f, d)
+        # order, which each (x, t) on its own can tell from another order
+        job = CorrugationJob(DualPair([0.6, 0.8], [0.6, 0.8]), 1.0, family())
+        pts = [np.array(p) for p in np.random.default_rng(7).uniform(-1.0, 2.0, (6, 2))]
+        t_values = [0.25, 0.5, 1.0]
+        assert np.array_equal(sup_norms(job, pts, t_values), sup_norms_oracle(job, pts, t_values))
+        for x in pts:
+            for t in t_values:
+                assert np.array_equal(sup_norms(job, [x], [t]), sup_norms_oracle(job, [x], [t]))
