@@ -55,7 +55,6 @@ class TestChooseStepN:
         half = CorrugationJob(p, N / 2.0, gamma)
         assert np.linalg.norm(corrugation(half, [1.0 / N, 1.0], 1.0)) > eps
 
-
     @pytest.mark.parametrize("rho", [1.0, 0.0])
     def test_trivial_cutoff_bound_is_the_slice_bound(self, rho):
         # rho = 1 (K1 everything) or rho = 0 (K0 empty): the cutoff-absorbed
@@ -172,6 +171,23 @@ class TestEvalTimes:
             assert_bit_equal(two.eval_times(ts, x), [two.eval(t, x) for t in ts])
 
 
+class BasedCircleFamily(GradedCircleFamily):
+    """GradedCircleFamily moved to the base point phi(x) v of graded_homotopy's
+    section, so the homotopy starts exactly at the section."""
+
+    def eval(self, x, t, s):
+        x = np.atleast_1d(x)
+        return np.array([np.cos(x[0]), x[1]]) + super().eval(x, t, s)
+
+
+class ShiftedEval(Homotopy):
+    """A Homotopy whose eval alone is moved by 1e-3; eval_times is intact."""
+
+    def eval(self, t, x):
+        y, phi = super().eval(t, x)
+        return y + 1e-3, phi
+
+
 class TestVerifyConclusions:
     @pytest.mark.parametrize("t_values", [None, [0.25, 0.5, 1.0]])
     @pytest.mark.parametrize("floor", [None, 0.5])
@@ -192,25 +208,6 @@ class TestVerifyConclusions:
             got = verify_conclusions(hom, F0, R, L, 0.05, t_values=t_values)
             assert_bit_equal(got, verify_conclusions(PerTimeOracle(hom), F0, R, L, 0.05, t_values=t_values))
 
-
-class BasedCircleFamily(GradedCircleFamily):
-    """GradedCircleFamily moved to the base point phi(x) v of graded_homotopy's
-    section, so the homotopy starts exactly at the section."""
-
-    def eval(self, x, t, s):
-        x = np.atleast_1d(x)
-        return np.array([np.cos(x[0]), x[1]]) + super().eval(x, t, s)
-
-
-class ShiftedEval(Homotopy):
-    """A Homotopy whose eval alone is moved by 1e-3; eval_times is intact."""
-
-    def eval(self, t, x):
-        y, phi = super().eval(t, x)
-        return y + 1e-3, phi
-
-
-class TestVerifyReadsEval:
     def test_start_check_reads_eval(self):
         hom = graded_homotopy(8.0)
         args = (hom.section, hom.S, BasedCircleFamily(), hom.N, hom.cutoff)
@@ -221,7 +218,8 @@ class TestVerifyReadsEval:
         assert good["starts_at_input"]["passed"]
         assert not bad["starts_at_input"]["passed"] and not bad["all_passed"]
         assert bad["starts_at_input"]["residual"] >= 1e-3
-        # every other conclusion reads the columns and section_at, not eval
+        # y at t = 0 is read through eval alone: every other conclusion reads
+        # y from the columns and from section_at(1).f
         for key in ("stays_in_relation", "frozen_outside", "value_drift", "holonomic_near_k0"):
             assert_bit_equal(bad[key], good[key])
 
