@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BudgetExceeded
-from .jets import FD_SCALE, DualPair, fd_jacobian
+from .jets import DualPair, fd_jacobian
 from .loops import LoopFamily
 from .smooth import cumulative_simpson, simpson_weights
 
@@ -140,22 +140,12 @@ def _phase_constants(fam, x, t_values):
         out[-1] = _MEAN_W @ vals * (1.0 / _AVG_M) / 3.0 if inherited else fam.average_at(z, t, M=_AVG_M)
         return out
 
-    h = FD_SCALE * (1.0 + np.linalg.norm(x))
-    shifts = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        shifts.append((x + e, x - e))
+    def grades(z):
+        return np.stack([rows(z, t) for t in t_values], axis=1)
+
     # cols[:, j, :, 0] holds the rows at x and grade j, cols[:, j, :, i] their
     # central difference along axis i - 1
-    cols = None
-    for j, t in enumerate(t_values):
-        here = rows(x, t)
-        if cols is None:
-            cols = np.empty((len(here), len(t_values), here.shape[1], 1 + x.size))
-        cols[:, j, :, 0] = here
-        for i, (plus, minus) in enumerate(shifts, 1):
-            cols[:, j, :, i] = (rows(plus, t) - rows(minus, t)) / (2.0 * h)
+    cols = np.concatenate([grades(x)[..., None], fd_jacobian(grades, x)], axis=-1)
     A = cumulative_simpson(cols[:-1], _PHASES[1]) - _PHASES.reshape((-1,) + (1,) * (cols.ndim - 1)) * cols[-1]
     return list(zip(_frobenius_max(A[..., 0]), _frobenius_max(A[..., 1:])))
 

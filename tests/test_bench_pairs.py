@@ -39,3 +39,11 @@ def test_wins_follow_the_declared_direction():
     change = [run("w", wall_s=1.5, hit=0.6, other=0.0), run("w", wall_s=1.0, hit=0.4, other=0.0)]
     got = bench_pairs.wins(parent, change, {"wall_s": "lower", "hit": "higher"})
     assert got == {"w": {"wall_s": "1 of 2", "hit": "1 of 2"}}
+
+
+def test_run_length_is_the_benchmarks_and_what_is_given():
+    plan = ["--parent", "a", "--change", "b", "--set", "corrugate:1:1", "--out", "o.json"]
+    assert bench_pairs.parse_args(plan + ["--what", "w"]).what == "w"
+    for bad in (plan, plan + ["--what", "w", "--seconds", "10"]):
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_args(bad)

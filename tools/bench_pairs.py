@@ -3,7 +3,7 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --set corrugate:10:1,2,57 --set surround:3:1,2,3 --set corrugate:1:1:1 \\
-        --out BENCH_30.json
+        --what "what the runs are and what the change claims" --out BENCH_30.json
 
 Each --set is WORKLOAD:PAIRS:SEEDS[:TRACE]; its pairs cycle through the
 comma-separated seeds, and TRACE (0 or 1, default 0) is passed to the
@@ -13,11 +13,13 @@ from pair to pair over the whole plan.  Every run extracts a fresh
 `git archive` of its commit into a temporary directory and runs the command
 that the commit's BENCHMARK.json declares there, with --workload, --seed,
 --seconds and --trace appended, so no build output or cache carries over
-between runs.
+between runs.  The run length is the `run_seconds` that the changed commit's
+BENCHMARK.json declares.
 
-The output keeps the layout of the committed BENCH files: `what`, `machine`,
-`seconds`, then `parent` and `change`, each with its `commit` and `runs` in
-run order (the last JSON line the benchmark printed, as `result`).  Each side
+The output keeps the layout of the committed BENCH files: `what` (the --what
+text), `machine`, `seconds`, then `parent` and `change`, each with its
+`commit` and `runs` in run order (the last JSON line the benchmark printed,
+as `result`).  Each side
 also gets `stats`: per workload and metric, the median and the quartiles of
 its runs (statistics.quantiles, inclusive method).  `wins` counts, per
 workload and metric, the pairs in which the change's value is better in the
@@ -61,8 +63,7 @@ def parse_args(argv):
     p.add_argument("--change", required=True, help="git revision of the changed side")
     p.add_argument("--set", dest="sets", action="append", type=parse_set, required=True, metavar="W:PAIRS:SEEDS[:TRACE]")
     p.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
-    p.add_argument("--seconds", type=float, help="seconds per run (default: run_seconds of BENCHMARK.json)")
-    p.add_argument("--what", help="the `what` text (default: generated from the plan)")
+    p.add_argument("--what", required=True, help="the `what` text: the runs made and the change's claim")
     return p.parse_args(argv)
 
 
@@ -147,27 +148,14 @@ def wins(parent_runs, change_runs, better):
     return {w: {k: f"{won} of {n}" for k, (won, n) in ms.items()} for w, ms in counts.items()}
 
 
-def describe(plan, seconds):
-    sets = []
-    for workload, pairs, seeds, trace in plan:
-        kind = "traced " if trace else ""
-        sets.append(f"{pairs} {kind}{workload} pair{'s' if pairs != 1 else ''} cycling seeds {', '.join(map(str, seeds))}")
-    return (
-        f"Last JSON line of the benchmark command with --workload W --seed S --seconds {seconds:g} --trace T "
-        "for every run made, parent and change alternating (the side that ran first alternates from pair "
-        f"to pair), in run order: {'; '.join(sets)}. Each run used a fresh `git archive` of its commit. "
-        "Written by tools/bench_pairs.py."
-    )
-
-
 def main(argv=None):
     args = parse_args(argv)
     commits = {side: git("rev-parse", "--verify", getattr(args, side) + "^{commit}") for side in ("parent", "change")}
     declared = json.loads(git("show", commits["change"] + ":BENCHMARK.json"))
-    seconds = args.seconds if args.seconds is not None else float(declared["run_seconds"])
+    seconds = float(declared["run_seconds"])
     better = {m["name"]: m["better"] for m in declared.get("end_to_end", []) + declared.get("per_layer", [])}
     out = {
-        "what": args.what or describe(args.sets, seconds),
+        "what": args.what,
         "machine": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, one single-threaded run at a time; "
         "times in reference seconds (perfbench/speed.py)",
         "seconds": seconds,
