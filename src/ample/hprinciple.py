@@ -35,8 +35,6 @@ from .jets import (
     psi_project,
     update,
     relation_slice,
-    _check_phi,
-    _send,
 )
 from .loops import WarpedFamily, build_loop_family
 from .smooth import plateau, smoothstep
@@ -185,8 +183,9 @@ class Cutoff:
 class Homotopy:
     """Time-indexed family of jet sections produced by one corrugation step.
 
-    `eval_times(ts, x)` reads a column of times at one point and sets it up
-    once (see there); `eval(t, x)` is its one-time column.
+    `eval_times(ts, x)` reads a column of times at one point and computes
+    rho(x), f(x), phi(x) and the phase N pi(x) once for it; `eval(t, x)` is
+    its one-time column.
     """
 
     def __init__(self, section: JetSection, S: StepLandscape, gamma, N, cutoff: Cutoff, metadata=None):
@@ -208,22 +207,19 @@ class Homotopy:
         return fx + t * rho * corrugation(self._job, x, t)
 
     def eval_times(self, ts, x):
-        """[eval(t, x) for t in ts], bit for bit, with the set-up of the
-        column done once: the times are clipped to [0, 1] in one call, and
-        rho(x), f(x), phi(x), phi(x) v and the phase N pi(x) are computed
-        once.  Each time then costs its corrugation, one loop value, the
-        rank-one update and the remainder."""
+        """[eval(t, x) for t in ts], bit for bit, with rho(x), f(x), phi(x)
+        and the phase N pi(x) computed once for the whole column."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         rho = self.cutoff.rho(x)
         f0 = self.section.f(x)
-        phi0 = _check_phi(self.p, self.section.phi(x))
-        phi0_v = phi0 @ self.p.v
+        phi0 = self.section.phi(x)
         z = np.array([self.N * self.p.pairing(x)])
         out = []
-        for t in np.clip(np.asarray(ts, dtype=float), 0.0, 1.0).tolist():
+        for t in ts:
+            t = float(np.clip(t, 0.0, 1.0))
             y = self._f(t, x, rho, f0)
             w = self.gamma.eval(x, t * rho, z)[0]
-            out.append((y, _send(self.p, phi0, phi0_v, w) + remainder(self._warped_job(t), x, 0.0)))
+            out.append((y, update(self.p, phi0, w) + remainder(self._warped_job(t), x, 0.0)))
         return out
 
     def eval(self, t, x):
