@@ -10,8 +10,8 @@ int gamma(phi(s)) ds = int gamma(u) rho(u) du the average of gamma . phi is
 w @ a, linear in w (a_k the mollifier dots), so the weights come from a solve
 in the target's d dimensions: the max-entropy weights of Sukumar (IJNME 61,
 2004), positive exactly when the target lies in the open hull of the a_k.
-Partial integrals of composed loops keep to the u-side, where the quadrature
-is well resolved.
+Every m_k has the bump's profile, so psi is closed form in the bump's CDF;
+partial integrals run on the dots' own nodes, so a whole period gives w @ a.
 """
 
 from collections import OrderedDict
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotSurrounded
 from .loops import LoopFamily, surround_certificate
-from .smooth import bump, cumulative_simpson, quad_integral
+from .smooth import bump, cumulative_simpson, quad_integral, simpson_pairs
 
 __all__ = [
     "DeltaMollifier",
@@ -35,11 +35,27 @@ _NEWTON_MAX = 100  # damped Newton steps of adjust_weights before it gives up
 _CERTIFICATE_M = 64  # loop samples per surround certificate, and mollifier centres
 _CENTERS = np.arange(_CERTIFICATE_M) / _CERTIFICATE_M
 _ETA = 1.0 / _CERTIFICATE_M  # mollifier half-width: each support reaches the two neighbouring centres
-_REPARAM_CACHE = 8192  # weights (and circle maps) kept per ReparametrizedFamily
+_REPARAM_CACHE = 8192  # weights kept per ReparametrizedFamily
 _DOT_PANELS = 256  # Simpson panels over each mollifier's support in _mollifier_dots
-_U_PANELS = 96 * _CERTIFICATE_M  # panels per unit of u in integral_over: 96 per _ETA
+_DOT_PAIR = 4.0 * _ETA / _DOT_PANELS  # one Simpson panel pair of the dot nodes, 1/4096
+_CDF_PANELS = 4096  # Simpson panels of the bump's mass and CDF table on [-1, 1]
+_PHI_TOL = 1e-15  # |psi(phi(s)) - s| at which CircleReparam.phi stops
+_PHI_STEPS = 64  # safeguarded Newton steps of CircleReparam.phi at most (bisection alone needs 53)
 
-_BUMP_MASS = float(quad_integral(bump, -1.0, 1.0, 4096))
+_BUMP_MASS = float(quad_integral(bump, -1.0, 1.0, _CDF_PANELS))
+_CDF_NODES = np.linspace(-1.0, 1.0, _CDF_PANELS + 1)
+_CDF = cumulative_simpson(bump(_CDF_NODES) / _BUMP_MASS, 2.0 / _CDF_PANELS)
+
+
+def _bump_cdf(v):
+    """B(v) = int_-1^v bump / _BUMP_MASS, a mollifier's CDF in units of its
+    half-width, and its density at v: the table at the node below v plus one
+    Simpson panel pair from that node."""
+    v = np.clip(v, -1.0, 1.0)
+    i = np.minimum(((v + 1.0) * (_CDF_PANELS // 2)).astype(int), _CDF_PANELS - 1)
+    nodes, weights = simpson_pairs(np.stack([_CDF_NODES[i], v]))
+    density = bump(nodes) / _BUMP_MASS
+    return _CDF[i] + np.sum(weights * density, axis=0), density[1]
 
 
 class DeltaMollifier:
@@ -60,52 +76,57 @@ _MOLLIFIER = DeltaMollifier(0.0, _ETA)  # every centre's mollifier, shifted to 0
 
 
 class CircleReparam:
-    """Monotone circle map phi with phi(t+1) = phi(t) + 1 and phi(0) = 0.
+    """The monotone circle map phi of weights w over the fixed centres:
+    phi(t + 1) = phi(t) + 1, phi(0) = 0, phi the inverse of psi = int_0^t rho.
 
-    Built as the inverse of psi(t) = int_0^t rho, where rho is a positive
-    unit-mass density.  psi is tabulated by cumulative Simpson at a
-    resolution set by the sharpest density feature and inverted by a
-    monotone-interpolation start plus Newton polish.
+    On the cell c_j <= t < c_{j+1}, with u = (t - c_j) / _ETA, only the
+    supports of c_j and c_{j+1} end inside, so with the bump's CDF B
+    psi = sum_{k<j} w_k + w_j B(u) + w_{j+1} B(u - 1) - w_0 B(0), w_64 = w_0.
+    phi finds the cell from psi at the centres and solves for u by Newton,
+    kept inside the cell's bracket by bisection.
     """
 
-    def __init__(self, density, feature):
-        self.density = density
-        n = max(8192, int(np.ceil(120.0 / max(feature, 1e-4) / 2.0)) * 2)
-        t = np.arange(n + 1) / n
-        cum = cumulative_simpson(np.asarray(density(t), dtype=float), 1.0 / n)
-        self.total = float(cum[-1])
-        self._psi = cum / self.total
-        self._n = n
+    def __init__(self, weights):
+        w = np.asarray(weights, dtype=float)
+        self._w = np.append(w, w[0])
+        self._below = np.concatenate([[0.0], np.cumsum(w)])
+        self._origin = w[0] * _bump_cdf(0.0)[0]
+        self._knots = self.psi(np.arange(_CERTIFICATE_M + 1) / _CERTIFICATE_M)  # psi at the centres and 1
 
-    def density_normalized(self, s):
-        return np.asarray(self.density(np.mod(s, 1.0)), dtype=float) / self.total
+    def _cell(self, j, u):
+        """psi at u = (t - c_j) / _ETA in [0, 1] of cell j, and its u-derivative."""
+        cdf, density = _bump_cdf(np.stack([u, u - 1.0]))
+        w, w_next = self._w[j], self._w[j + 1]
+        return self._below[j] + w * cdf[0] + w_next * cdf[1] - self._origin, w * density[0] + w_next * density[1]
 
     def psi(self, t):
         """The inverse map phi^-1 (degree-1 periodic)."""
         t = np.asarray(t, dtype=float)
         k = np.floor(t)
-        r = t - k
-        idx = np.minimum((r * self._n).astype(int), self._n - 1)
-        t0 = idx / self._n
-        dt = r - t0
-        # Gauss-2 correction from the nearest table node
-        m1 = t0 + dt * (0.5 - 0.5 / np.sqrt(3.0))
-        m2 = t0 + dt * (0.5 + 0.5 / np.sqrt(3.0))
-        loc = 0.5 * dt * (np.asarray(self.density(m1), dtype=float) + np.asarray(self.density(m2), dtype=float)) / self.total
-        return k + self._psi[idx] + loc
+        v = (t - k) * _CERTIFICATE_M
+        j = np.minimum(v.astype(int), _CERTIFICATE_M - 1)
+        return k + self._cell(j, v - j)[0]
 
     def phi(self, s):
         s = np.asarray(s, dtype=float)
         k = np.floor(s)
         r = s - k
-        t = np.interp(r, self._psi, np.arange(self._n + 1) / self._n)
-        for _ in range(3):
-            res = self.psi(t) - r
-            t = np.clip(t - res / self.density_normalized(t), 0.0, 1.0)
-        return k + t
-
-    def __call__(self, s):
-        return self.phi(s)
+        # the cell with psi(c_j) < r <= psi(c_{j+1}); r = 0 reads cell 0
+        j = np.clip(np.searchsorted(self._knots, r) - 1, 0, _CERTIFICATE_M - 1)
+        left, gap = self._knots[j], self._knots[j + 1] - self._knots[j]
+        u = np.clip((r - left) / np.where(gap > 0, gap, 1.0), 0.0, 1.0)
+        lo, hi = np.zeros_like(u), np.ones_like(u)
+        for _ in range(_PHI_STEPS):
+            value, slope = self._cell(j, u)
+            res = value - r
+            todo = np.abs(res) > _PHI_TOL
+            if not todo.any():
+                break
+            lo, hi = np.where(res < 0, u, lo), np.where(res > 0, u, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = u - res / slope
+            u = np.where(todo, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), u)
+        return k + (j + u) / _CERTIFICATE_M
 
 
 def _mix_density(weights):
@@ -198,11 +219,12 @@ class ReparametrizedFamily(LoopFamily):
     weights over the fixed centres make the t=1 average g(x).
 
     Each x's weights are solved once and kept in an LRU cache with the t=1
-    average they give and the CircleReparam, which is built only when a
-    value or a partial integral needs phi.  reparametrize_family solves the
-    nodes' weights at the build and keeps them as the family's entries;
+    average they give; their CircleReparam is closed form, so a value or a
+    partial integral builds it when it reads x.  reparametrize_family solves
+    the nodes' weights at the build and keeps them as the family's entries;
     other points are solved when first read.  Averages need no phi; they
-    are w @ a(x, t) by substitution.
+    are w @ a(x, t) by substitution, which is also a partial integral over a
+    whole period.
     """
 
     def __init__(self, inner, g):
@@ -212,42 +234,41 @@ class ReparametrizedFamily(LoopFamily):
         self._cache = OrderedDict()
 
     def _entry(self, x):
-        """[weights, t=1 average, CircleReparam or None] at x."""
+        """(weights, t=1 average) at x."""
         key = np.atleast_1d(np.asarray(x, dtype=float)).tobytes()
         entry = self._cache.get(key)
         if entry is not None:
             self._cache.move_to_end(key)
             return entry
-        entry = self._cache[key] = [*adjust_weights(self.inner.loop_at(x, 1.0), self.g(x), _CENTERS), None]
+        entry = self._cache[key] = adjust_weights(self.inner.loop_at(x, 1.0), self.g(x), _CENTERS)
         if len(self._cache) > _REPARAM_CACHE:
             self._cache.popitem(last=False)
         return entry
 
     def reparam_at(self, x):
-        entry = self._entry(x)
-        if entry[2] is None:
-            entry[2] = CircleReparam(_mix_density(entry[0]), _ETA)
-        return entry[2]
+        return CircleReparam(self._entry(x)[0])
 
     def eval(self, x, t, s):
-        rp = self.reparam_at(x)
-        return self.inner.eval(x, t, rp.phi(np.atleast_1d(np.asarray(s, dtype=float))))
+        return self.inner.eval(x, t, self.reparam_at(x).phi(np.atleast_1d(np.asarray(s, dtype=float))))
 
     def integral_over(self, x, t, a, b, M=4096):
-        """int_a^b gamma(x, t, phi_x(s)) ds by substitution."""
+        """int_a^b gamma(x, t, phi_x(s)) ds = int gamma(x, t, u) rho_x(u) du
+        over [phi_x(a), phi_x(b)] by Simpson on the dot nodes: one panel pair
+        between each two even nodes inside, and one from each end to the
+        nearest of them.  Over a whole period these are the dots' own nodes
+        and weights, so the integral is the average.  M is not used."""
         if b < a:
-            return -self.integral_over(x, t, b, a, M=M)
-        rp = self.reparam_at(x)
-        ua, ub = float(rp.phi(a)), float(rp.phi(b))
-        if ub <= ua:
-            return np.zeros(self.dim_f)
-        M = max(M, int(np.ceil((ub - ua) * _U_PANELS / 1024.0)) * 1024, 1024)
-        return quad_integral(lambda u: self.inner.eval(x, t, u) * rp.density_normalized(u)[:, None], ua, ub, M)
+            return -self.integral_over(x, t, b, a)
+        w = self._entry(x)[0]
+        ua, ub = CircleReparam(w).phi(np.array([a, b], dtype=float))
+        inside = np.arange(np.floor(ua / _DOT_PAIR) + 1.0, np.ceil(ub / _DOT_PAIR)) * _DOT_PAIR
+        u, weights = simpson_pairs(np.concatenate([[ua], inside, [ub]]))
+        return (weights * _mix_density(w)(u)) @ self.inner.eval(x, t, u)
 
     def average_at(self, x, t, M=4096):
         """The substitution identity in closed form (M is not used); the t=1
         average is the one the weights were solved for."""
-        w, avg1, _ = self._entry(x)
+        w, avg1 = self._entry(x)
         if t == 1.0:
             return avg1
         return w @ _mollifier_dots(self.inner.loop_at(x, t), _CENTERS)

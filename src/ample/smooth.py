@@ -4,8 +4,9 @@ engine's one quadrature rule (composite Simpson, plain and cumulative).
 Every construction in the engine that needs a cutoff, a ramp or a bump is
 assembled from these, so smoothness holds by construction and no separate
 mollification pass is ever required.  Every integral over a loop parameter,
-a mollifier support or a phase goes through `quad_integral` or
-`cumulative_simpson`.
+a mollifier support or a phase goes through `quad_integral`,
+`cumulative_simpson`, or `simpson_pairs` where the panel pairs must end at
+given points.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "simpson_weights",
     "quad_integral",
     "cumulative_simpson",
+    "simpson_pairs",
 ]
 
 
@@ -106,3 +108,14 @@ def cumulative_simpson(vals, h):
     out[2::2] = np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2), axis=0)
     out[1::2] = out[0:-1:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
     return out
+
+
+def simpson_pairs(ends):
+    """Simpson's rule with one panel pair between each two consecutive points
+    of `ends` (axis 0; further axes are separate rules): the nodes, `ends`
+    followed by the pairs' midpoints, and their weights."""
+    ends = np.asarray(ends, dtype=float)
+    sixth = np.diff(ends, axis=0) / 6.0
+    zero = np.zeros_like(ends[:1])
+    weights = np.concatenate([np.concatenate([sixth, zero]) + np.concatenate([zero, sixth]), 4.0 * sixth])
+    return np.concatenate([ends, 0.5 * (ends[:-1] + ends[1:])]), weights

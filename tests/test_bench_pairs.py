@@ -12,15 +12,16 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def run(workload, **values):
+def run(workload, attempted=10, failed=0, **values):
     metrics = {k: {"value": v, "unit": "s"} for k, v in values.items()}
-    return {"workload": workload, "seed": 1, "trace": 0, "result": {"metrics": metrics}}
+    result = {"attempted": attempted, "failed": failed, "metrics": metrics}
+    return {"workload": workload, "seed": 1, "trace": 0, "result": result}
 
 
 def test_parse_set():
     assert bench_pairs.parse_set("corrugate:10:1,2,57") == ("corrugate", 10, [1, 2, 57], 0)
     assert bench_pairs.parse_set("surround:1:3:1") == ("surround", 1, [3], 1)
-    for bad in ("corrugate:10", "corrugate:1:1:2"):
+    for bad in ("corrugate:10", "corrugate:1:1:2", "corrugate:0:1", "corrugate:-1:1"):
         with pytest.raises(argparse.ArgumentTypeError):
             bench_pairs.parse_set(bad)
 
@@ -32,6 +33,14 @@ def test_stats_are_median_and_inclusive_quartiles():
     assert got == {"n": 5, "median": 3.0, "q1": 2.0, "q3": 4.0, "unit": "s"}
     one = bench_pairs.side_stats([run("w", wall_s=7.0)])["w"]["wall_s"]
     assert (one["q1"], one["median"], one["q3"]) == (7.0, 7.0, 7.0)
+
+
+def test_stats_total_the_operations_per_workload():
+    runs = [run("w", 10, 0, wall_s=1.0), run("w", 12, 3, wall_s=2.0), run("v", 5, 5, wall_s=1.0)]
+    runs.append({"workload": "w", "seed": 1, "trace": 0, "result": None})
+    got = bench_pairs.side_stats(runs)
+    assert got["w"]["operations"] == {"attempted": 22, "failed": 3}
+    assert got["v"]["operations"] == {"attempted": 5, "failed": 5}
 
 
 def test_wins_follow_the_declared_direction():

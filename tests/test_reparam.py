@@ -28,12 +28,7 @@ def circle_loop(center=(0.0, 0.0), radius=1.0):
 def subst_average(loop, density, M=32768):
     """average(gamma . phi) through the exact change of variables, with
     density the unit-mass density of phi^-1."""
-    u = np.linspace(0.0, 1.0, M + 1)
-    w = np.ones(M + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    vals = loop(u) * density(u)[:, None]
-    return (w @ vals) / (3.0 * M)
+    return quad_integral(lambda u: loop(u) * density(u)[:, None], 0.0, 1.0, M)
 
 
 class TestMollifier:
@@ -73,48 +68,6 @@ def mixed_density(weights, centers, eta=reparam._ETA):
     return lambda s: np.tensordot(w, np.stack([m(s) for m in ms]), axes=1)
 
 
-FLOOR = 1e-3  # uniform mass that keeps a few sparse supports' density positive
-
-
-def mixed_reparam(weights, centers, eta=reparam._ETA):
-    """CircleReparam of the density (FLOOR + sum_i w_i m_i) / (1 + FLOOR):
-    the floor makes phi^-1 invertible between sparse supports."""
-    density = mixed_density(weights, centers, eta)
-    return CircleReparam(lambda s: (FLOOR + density(s)) / (1.0 + FLOOR), eta)
-
-
-class StoredGridReparam(CircleReparam):
-    """CircleReparam with its table nodes t_i = i / n stored beside psi and
-    read from there: the reference that the map computing t_i when read must
-    match bit for bit."""
-
-    def __init__(self, density, feature):
-        super().__init__(density, feature)
-        self._t = np.arange(self._n + 1) / self._n
-
-    def psi(self, t):
-        t = np.asarray(t, dtype=float)
-        k = np.floor(t)
-        r = t - k
-        idx = np.minimum((r * self._n).astype(int), self._n - 1)
-        t0 = self._t[idx]
-        dt = r - t0
-        m1 = t0 + dt * (0.5 - 0.5 / np.sqrt(3.0))
-        m2 = t0 + dt * (0.5 + 0.5 / np.sqrt(3.0))
-        loc = 0.5 * dt * (np.asarray(self.density(m1), dtype=float) + np.asarray(self.density(m2), dtype=float)) / self.total
-        return k + self._psi[idx] + loc
-
-    def phi(self, s):
-        s = np.asarray(s, dtype=float)
-        k = np.floor(s)
-        r = s - k
-        t = np.interp(r, self._psi, self._t)
-        for _ in range(3):
-            res = self.psi(t) - r
-            t = np.clip(t - res / self.density_normalized(t), 0.0, 1.0)
-        return k + t
-
-
 class TestReparamFromWeights:
     def test_single_center_concentrates(self):
         lp = circle_loop()
@@ -129,19 +82,21 @@ class TestReparamFromWeights:
         assert np.linalg.norm(subst_average(lp, density)) <= 1e-12  # symmetry
 
     def test_phi_fixes_origin_and_degree(self):
-        rp = mixed_reparam([0.5, 0.3, 0.2], [0.1, 0.45, 0.8])
-        assert abs(float(rp.phi(0.0))) <= 1e-12
-        assert abs(float(rp.phi(1.25) - rp.phi(0.25)) - 1.0) <= 1e-9
+        rp = CircleReparam(np.random.default_rng(3).dirichlet(np.ones(64)))
+        assert rp.phi(0.0) == 0.0
+        assert abs(float(rp.phi(1.25) - rp.phi(0.25)) - 1.0) <= 1e-12
         ph = rp.phi(np.linspace(0, 1, 4001))
         assert np.all(np.diff(ph) > 0)
 
     def test_degenerate_weights(self):
-        # a weight of 1e-6 still gives a strictly increasing phi that spends
-        # almost no time near its centre
-        rp = mixed_reparam([1e-6, 1.0 - 1e-6], [0.1, 0.6], eta=1.0 / 256)
-        ph = rp.phi(np.linspace(0, 1, 4001))
+        # weights of 1e-6 still give a strictly increasing phi that spends
+        # almost no time near their centres
+        w = np.full(64, 1e-6)
+        w[38] = 1.0 - 63e-6
+        ph = CircleReparam(w).phi(np.linspace(0, 1, 4001))
         assert np.all(np.diff(ph) > 0)
-        assert np.linalg.norm(subst_average(circle_loop(), rp.density_normalized) - circle_loop()(0.6)[0]) <= 2e-3
+        assert np.mean(np.abs(ph - 38 / 64) <= reparam._ETA) >= 0.99
+        assert np.linalg.norm(subst_average(circle_loop(), reparam._mix_density(w)) - circle_loop()(38 / 64)[0]) <= 2e-3
         # coincident centres span no hull: a target off their common dot is
         # refused, with the weights reached summing to 1
         with pytest.raises(NoConvergence) as info:
@@ -166,28 +121,25 @@ class TestReparamFromWeights:
         peak = float(DeltaMollifier(0.0, reparam._ETA)(0.0))
         assert np.all(got >= 0.5 * w.min() * peak)
 
-
-class TestTableNodes:
     @settings(max_examples=20, deadline=None)
-    @given(
-        fixed=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        k=st.integers(1, 6),
-        eta=st.floats(1e-3, 0.2),
-        s=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=50),
-    )
-    @example(fixed=True, seed=0, k=1, eta=0.1, s=[-2.0, -1.0, 0.0, 0.5, 1.0, 1.0 - 1e-16, 3.0])
-    def test_match_stored_grid(self, fixed, seed, k, eta, s):
-        # the fixed centres' density, or k random centres of half-width eta
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 20.0), sharpen=st.sampled_from([1, 40]))
+    @example(seed=26, alpha=0.05, sharpen=1)  # the last weight underflows to 0
+    def test_phi_inverts_the_closed_form_psi(self, seed, alpha, sharpen):
+        # Dirichlet weights, raised to the 40th power for many that
+        # underflow to 0 (w_0 among them): phi is a degree-1 map through 0
+        # that inverts psi, and psi integrates the mixed density
         rng = np.random.default_rng(seed)
-        if fixed:
-            got = CircleReparam(reparam._mix_density(rng.dirichlet(np.ones(64))), reparam._ETA)
-        else:
-            got = mixed_reparam(rng.dirichlet(np.ones(k)), rng.uniform(0.0, 1.0, k), eta)
-        want = StoredGridReparam(got.density, reparam._ETA if fixed else eta)
-        s = np.array(s)
-        assert np.array_equal(got.phi(s), want.phi(s))
-        assert np.array_equal(got.psi(s), want.psi(s))
+        w = rng.dirichlet(np.full(64, alpha)) ** sharpen
+        w /= w.sum()
+        rp = CircleReparam(w)
+        s = np.concatenate([np.linspace(0.0, 1.0, 4001), rng.uniform(-2.0, 3.0, 200)])
+        ph = rp.phi(s)
+        assert rp.phi(0.0) == 0.0
+        assert np.max(np.abs(rp.phi(s + 1.0) - ph - 1.0)) <= 1e-12
+        assert np.all(np.diff(ph[:4001]) > 0)
+        assert np.max(np.abs(rp.psi(ph) - s)) <= 1e-13
+        for t in rng.uniform(0.0, 1.0, 2):
+            assert abs(float(rp.psi(t) - quad_integral(reparam._mix_density(w), 0.0, t, 2**18))) <= 1e-12
 
 
 def assert_feasible(lp, g, centers, w):
@@ -342,8 +294,6 @@ def exact_family(dim):
 
 class TestReparametrizeFamily:
     def grid(self):
-        from ample.grids import box_grid
-
         return box_grid([0.0], [1.0], [8], periodic=(True,))
 
     def test_translated_circle_grid_residuals(self):
@@ -429,6 +379,33 @@ class TestReparametrizeFamily:
         x, s = np.array([0.3]), np.linspace(0.0, 1.0, 17)
         assert np.array_equal(built.eval(x, 0.7, s), lazy.eval(x, 0.7, s))
         assert np.array_equal(built.integral_over(x, 0.7, 0.1, 0.63), lazy.integral_over(x, 0.7, 0.1, 0.63))
+
+    @pytest.mark.parametrize("x", [0.1, 0.37, 0.5, 0.9])
+    def test_whole_period_integral_is_the_average(self, x):
+        # no jump at a whole phase of the corrugation: up to r -> 1 the
+        # partial integral sums the dots' nodes with their weights
+        _, fam = exact_family(1)
+        x = np.array([x])
+        for t in (0.5, 1.0):
+            assert np.linalg.norm(fam.integral_over(x, t, 0.0, 1.0 - 1e-12) - fam.average_at(x, t)) <= 1e-11
+
+    @settings(max_examples=20, deadline=None)
+    @given(x=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0), ua=st.floats(-0.5, 1.5), ub=st.floats(-0.5, 1.5))
+    # images across an even and an odd dot node, over a few panel pairs and inside one
+    @example(x=0.37, t=0.5, ua=2048 / 8192 - 3e-4, ub=2048 / 8192 + 2e-5)
+    @example(x=0.37, t=0.5, ua=2049 / 8192 - 2e-5, ub=2049 / 8192 + 2e-5)
+    def test_partial_integral_matches_composed_quadrature(self, x, t, ua, ub):
+        # over [a, b] = [psi(ua), psi(ub)], oriented like quad_integral; the
+        # integral from 0 is continuous where its end crosses a dot node
+        _, fam = exact_family(1)
+        x = np.array([x])
+        psi = fam.reparam_at(x).psi
+        a, b = psi(np.array([ua, ub]))
+        want = quad_integral(lambda s: fam.eval(x, t, s), a, b, 2**16)
+        assert np.linalg.norm(fam.integral_over(x, t, a, b) - want) <= 1e-9
+        node = np.round(ub * 8192) / 8192
+        below, above = (fam.integral_over(x, t, 0.0, psi(node + d)) for d in (-1e-14, 1e-14))
+        assert np.linalg.norm(above - below) <= 1e-11
 
     def test_direct_and_substitution_agree(self):
         fam = TranslatedCircleFamily()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ample.smooth import cumulative_simpson, quad_integral
+from ample.smooth import cumulative_simpson, quad_integral, simpson_pairs
 
 TAILS = [(), (2,), (2, 3)]  # integrand values of shape (n,), (n, 2), (n, 2, 3)
 VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -72,3 +72,30 @@ class TestCumulativeSimpson:
     def test_rejects_odd_panel_count(self):
         with pytest.raises(ValueError):
             cumulative_simpson(np.ones(8), 0.1)
+
+
+class TestSimpsonPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coef=arrays(float, (4,), elements=VALUES),
+        ends=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=12).map(sorted),
+        columns=st.integers(1, 3),
+    )
+    @example(coef=np.ones(4), ends=[0.5, 0.5], columns=1)
+    @example(coef=np.full(4, 2.2250738585072014e-313), ends=[-4.9, -1.3, 0.2, 4.9], columns=2)
+    def test_exact_for_cubics_on_any_pair_ends(self, coef, ends, columns):
+        # each column of the ends is its own rule; here column c is shifted by c
+        shifted = np.array(ends)[:, None] + np.arange(columns)
+        nodes, weights = simpson_pairs(shifted)
+        assert nodes.shape == weights.shape == (2 * len(ends) - 1, columns)
+        got = np.sum(weights * sum(coef[k] * nodes**k for k in range(4)), axis=0)
+        for c in range(columns):
+            a, b = shifted[0, c], shifted[-1, c]
+            exact = sum(coef[k] * monomial_integral(a, b, k) for k in range(4))
+            scale = sum(np.abs(coef[k]) * max(abs(a), abs(b)) ** k for k in range(4)) * (b - a)
+            # each node's value rounds four monomials, a weight and a sum
+            assert abs(got[c] - exact) <= 1e-12 * scale + 8 * len(nodes) * SUBNORMAL
+
+    def test_uniform_ends_are_composite_simpson(self):
+        nodes, weights = simpson_pairs(np.linspace(0.2, 1.7, 9))
+        assert abs(weights @ np.sin(nodes) - float(quad_integral(np.sin, 0.2, 1.7, 16))) <= 1e-15

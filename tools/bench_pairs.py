@@ -21,7 +21,8 @@ text), `machine`, `seconds`, then `parent` and `change`, each with its
 `commit` and `runs` in run order (the last JSON line the benchmark printed,
 as `result`).  Each side
 also gets `stats`: per workload and metric, the median and the quartiles of
-its runs (statistics.quantiles, inclusive method).  `wins` counts, per
+its runs (statistics.quantiles, inclusive method), and per workload the
+`operations` its runs attempted and failed, summed.  `wins` counts, per
 workload and metric, the pairs in which the change's value is better in the
 direction that BENCHMARK.json gives.  The file is rewritten after every run,
 so an interrupted plan keeps the runs it made.
@@ -53,8 +54,11 @@ def parse_set(text):
     trace = int(parts[3]) if len(parts) == 4 else 0
     if trace not in (0, 1):
         raise argparse.ArgumentTypeError(f"TRACE must be 0 or 1, got {trace}")
+    pairs = int(parts[1])
+    if pairs < 1:
+        raise argparse.ArgumentTypeError(f"PAIRS must be at least 1, got {pairs}")
     seeds = [int(s) for s in parts[2].split(",")]
-    return parts[0], int(parts[1]), seeds, trace
+    return parts[0], pairs, seeds, trace
 
 
 def parse_args(argv):
@@ -113,18 +117,24 @@ def quartiles(values):
 
 
 def side_stats(runs):
-    """{workload: {metric: {n, median, q1, q3, unit}}} over the runs with a result."""
-    values = {}
+    """{workload: {metric: {n, median, q1, q3, unit}, "operations": {attempted,
+    failed}}} over the runs with a result; the operations are the totals of
+    the runs' counts."""
+    values, operations = {}, {}
     for run in runs:
         if run["result"] is None:
             continue
         for name, m in run["result"]["metrics"].items():
             values.setdefault(run["workload"], {}).setdefault(name, ([], m["unit"]))[0].append(m["value"])
+        totals = operations.setdefault(run["workload"], {"attempted": 0, "failed": 0})
+        for key in totals:
+            totals[key] += run["result"][key]
     stats = {}
     for workload, metrics in values.items():
         for name, (vals, unit) in metrics.items():
             q1, med, q3 = quartiles(vals)
             stats.setdefault(workload, {})[name] = {"n": len(vals), "median": med, "q1": q1, "q3": q3, "unit": unit}
+        stats[workload]["operations"] = operations[workload]
     return stats
 
 
