@@ -124,10 +124,11 @@ class TestReparamFromWeights:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 20.0), sharpen=st.sampled_from([1, 40]))
     @example(seed=26, alpha=0.05, sharpen=1)  # the last weight underflows to 0
+    @example(seed=35, alpha=0.05, sharpen=40)  # w_63 = w_0 = w_1 = 0: psi is flat about 0
     def test_phi_inverts_the_closed_form_psi(self, seed, alpha, sharpen):
         # Dirichlet weights, raised to the 40th power for many that
-        # underflow to 0 (w_0 among them): phi is a degree-1 map through 0
-        # that inverts psi, and psi integrates the mixed density
+        # underflow to 0: phi is a degree-1 map through 0 that inverts psi,
+        # and psi integrates the mixed density
         rng = np.random.default_rng(seed)
         w = rng.dirichlet(np.full(64, alpha)) ** sharpen
         w /= w.sum()
