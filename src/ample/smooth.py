@@ -1,5 +1,6 @@
 """Closed-form C-infinity primitives (exp(-1/x) ramps, bumps, tents) and the
-engine's one quadrature rule (composite Simpson, plain and cumulative).
+engine's one quadrature rule (composite Simpson: plain, cumulative, and on
+panel pairs with given ends).
 
 Every construction in the engine that needs a cutoff, a ramp or a bump is
 assembled from these, so smoothness holds by construction and no separate
