@@ -37,7 +37,7 @@ from .jets import (
     relation_slice,
 )
 from .loops import WarpedFamily, build_loop_family
-from .smooth import plateau, smoothstep
+from .smooth import smoothstep
 
 __all__ = [
     "Landscape",
@@ -169,9 +169,18 @@ class Cutoff:
             self.d1 = max(gap - 0.55 * h, 0.5 * h)
 
     def rho(self, x):
+        """plateau(inner.distance(x), d0, d1) as a float, bit for bit; only
+        the band d0 < d < d1 runs the smoothstep, since plateau is exactly 1.0
+        for u = (d - d0) / (d1 - d0) <= 0 (smoothstep gives 0 / b) and 0.0
+        for u >= 1 (a / a)."""
         if self.trivial:
             return self.constant
-        return float(plateau(self.inner.distance(x), self.d0, self.d1))
+        u = (self.inner.distance(x) - self.d0) / (self.d1 - self.d0)
+        if u <= 0.0:
+            return 1.0
+        if u >= 1.0:
+            return 0.0
+        return float(1.0 - smoothstep(u))
 
     def drho(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -183,9 +192,10 @@ class Cutoff:
 class Homotopy:
     """Time-indexed family of jet sections produced by one corrugation step.
 
-    `eval_times(ts, x)` reads a column of times at one point and computes
-    rho(x), f(x), phi(x) and the phase N pi(x) once for it; `eval(t, x)` is
-    its one-time column.
+    `eval_times(ts, x)` reads a column of times at one point: rho(x), f(x),
+    phi(x) and the phase N pi(x) are computed once for it, then each time
+    costs one family sample and, off a whole phase, one corrugation and one
+    remainder.  `eval(t, x)` is its one-time column.
     """
 
     def __init__(self, section: JetSection, S: StepLandscape, gamma, N, cutoff: Cutoff, metadata=None):
@@ -201,25 +211,34 @@ class Homotopy:
     def _warped_job(self, t):
         return CorrugationJob(self.p, self.N, WarpedFamily(self.gamma, lambda x: t * self.cutoff.rho(x)))
 
-    def _f(self, t, x, rho, fx):
-        """The f-component f(x) + t rho(x) Corr(x, t) at a clipped t, a point
-        x, rho = rho(x) and fx = f(x); computes nothing of phi."""
-        return fx + t * rho * corrugation(self._job, x, t)
-
     def eval_times(self, ts, x):
         """[eval(t, x) for t in ts], bit for bit, with rho(x), f(x), phi(x)
-        and the phase N pi(x) computed once for the whole column."""
+        and the phase z = N pi(x) computed once for the whole column.
+
+        Where z is whole, the corrugation and the remainder are zero at every
+        t, so the column adds the zeros that `corrugation` and `remainder`
+        return there, by the same arithmetic, without calling them or
+        building the per-time cutoff-absorbed job.  Off a whole phase each
+        time makes one corrugation and one remainder of that job.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         rho = self.cutoff.rho(x)
         f0 = self.section.f(x)
         phi0 = self.section.phi(x)
-        z = np.array([self.N * self.p.pairing(x)])
+        z = self.N * self.p.pairing(x)
+        phase = np.array([z])
+        whole = z.is_integer()
+        if whole:
+            corr, rem = np.zeros(self.gamma.dim_f), np.zeros((self.gamma.dim_f, x.size))
         out = []
         for t in ts:
             t = float(np.clip(t, 0.0, 1.0))
-            y = self._f(t, x, rho, f0)
-            w = self.gamma.eval(x, t * rho, z)[0]
-            out.append((y, update(self.p, phi0, w) + remainder(self._warped_job(t), x, 0.0)))
+            if not whole:
+                corr = corrugation(self._job, x, t)
+                rem = remainder(self._warped_job(t), x, 0.0)
+            y = f0 + t * rho * corr
+            w = self.gamma.eval(x, t * rho, phase)[0]
+            out.append((y, update(self.p, phi0, w) + rem))
         return out
 
     def eval(self, t, x):
@@ -247,7 +266,7 @@ class Homotopy:
 
         def f(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            return self._f(t, x, self.cutoff.rho(x), self.section.f(x))
+            return self.section.f(x) + t * self.cutoff.rho(x) * corrugation(self._job, x, t)
 
         return JetSection(
             f=f,
@@ -444,9 +463,10 @@ def verify_conclusions(hom, F0: JetSection, R: Relation, L: Landscape, eps, t_va
                 witness = (t, np.array(x))
             else:
                 margin_min = min(margin_min, float(R.margin(jet)))
+            drift = float(np.linalg.norm(y - f0))
             if is_frozen:
-                res_frozen = max(res_frozen, float(np.linalg.norm(y - f0)), float(np.linalg.norm(phi - p0)))
-            res_c0 = max(res_c0, float(np.linalg.norm(y - f0)))
+                res_frozen = max(res_frozen, drift, float(np.linalg.norm(phi - p0)))
+            res_c0 = max(res_c0, drift)
 
     report = {"starts_at_input": {"residual": res0, "tol": _VERIFY_T0_TOL, "passed": res0 <= _VERIFY_T0_TOL}}
     report["stays_in_relation"] = {

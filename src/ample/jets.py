@@ -80,6 +80,15 @@ class OneJet:
                 f"phi has shape {self.phi.shape}, expected {(self.y.size, self.x.size)}"
             )
 
+    @classmethod
+    def _unchecked(cls, x, y, phi):
+        """The jet of arrays already in the form `__post_init__` gives them
+        (float64, x and y 1-D, phi of shape (y.size, x.size)), built without
+        running it."""
+        jet = object.__new__(cls)
+        jet.__dict__.update(x=x, y=y, phi=phi)
+        return jet
+
 
 @dataclass
 class JetSection:
@@ -167,13 +176,17 @@ def _send(p: DualPair, phi, phi_v, w):
 def relation_slice(R: Relation, sigma: OneJet, p: DualPair):
     """Predicate on F selecting the w with (x, y, update(p, phi, w)) in R.
 
-    phi v is computed once, so a call costs one rank-one update and R.member.
+    sigma and p are checked and phi v is computed once, here.  A call checks
+    the size of w, forms update(p, phi, w) by the arithmetic of `update`, and
+    hands R.member the jet of sigma's x and y with that phi, built without
+    checking them again: one rank-one update and R.member.
     """
-    phi = _check_phi(p, sigma.phi)
+    sigma = OneJet(sigma.x, sigma.y, _check_phi(p, sigma.phi))
+    x, y, phi = sigma.x, sigma.y, sigma.phi
     phi_v = phi @ p.v
 
     def member(w):
-        return R.member(OneJet(sigma.x, sigma.y, _send(p, phi, phi_v, w)))
+        return R.member(OneJet._unchecked(x, y, _send(p, phi, phi_v, w)))
 
     return member
 

@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ample import hprinciple, loops
 from ample.corrugation import CorrugationJob, choose_N, corrugation, remainder
@@ -16,7 +18,8 @@ from ample.hprinciple import (
     improve,
     verify_conclusions,
 )
-from ample.jets import DualPair, JetSection, Relation, update
+from ample.jets import DualPair, JetSection, Relation, fd_jacobian, update
+from ample.smooth import plateau
 
 
 class GradedCircleFamily(loops.LoopFamily):
@@ -76,6 +79,77 @@ class TestChooseStepN:
             assert choose_N(warped, grid.nodes(), [0.0], eps) <= N
 
 
+@st.composite
+def cutoffs(draw):
+    """A cutoff that is not trivial, and the nodes outside its K1, on an
+    anisotropic 2-D grid from the origin whose spacings are 5 and m (> 5)
+    times 2^-k, so that d0 = 0.2 h = 2^-k and each node plus d0 along an
+    axis is exact; K0 is a block of nodes and K1 its dilation by 1 to 3
+    cells."""
+    k = draw(st.integers(3, 6))
+    units = [5, draw(st.integers(6, 12))]
+    if draw(st.booleans()):
+        units.reverse()
+    cells = [draw(st.integers(6, 10)) for _ in units]
+    grid = box_grid([0.0, 0.0], [u * 2.0**-k * c for u, c in zip(units, cells)], cells)
+    mask = np.zeros(grid.shape, dtype=bool)
+    lo = [draw(st.integers(1, c - 3)) for c in cells]
+    mask[tuple(slice(a, a + draw(st.integers(1, 3))) for a in lo)] = True
+    k0 = GridRegion(grid, mask)
+    k1 = k0.dilate(draw(st.integers(1, 3)))
+    cutoff = Cutoff(Landscape(grid=grid, k0=k0, k1=k1))
+    assume(not cutoff.trivial)
+    assert cutoff.d0 == 2.0**-k
+    return cutoff, k1.complement().nodes()
+
+
+class TestCutoff:
+    @given(cutoffs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rho_is_the_plateau_of_the_distance(self, case, data):
+        # rho and drho are plateau(inner.distance, d0, d1) and its finite
+        # difference byte for byte: at nodes, at u = 0 exactly, in the band
+        # and beyond K1, with u checked so that every branch is met
+        c, outside = case
+        grid = c.inner.grid
+        h = min(grid.spacing)
+        inner = c.inner.nodes()
+
+        def draw_node(nodes):
+            return nodes[data.draw(st.integers(0, len(nodes) - 1))]
+
+        def u_of(x):
+            return (c.inner.distance(x) - c.d0) / (c.d1 - c.d0)
+
+        axis = data.draw(st.integers(0, 1))
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        step = sign * np.eye(2)[axis]
+        edge = inner[np.argmax(sign * inner[:, axis])]  # no inner node lies beyond it along step
+        frac = data.draw(st.floats(0.01, 0.99))
+        jitter = np.array(data.draw(st.lists(st.floats(-0.25 * h, 0.25 * h), min_size=2, max_size=2)))
+        points = {
+            "node": draw_node(grid.nodes()),
+            "inner node": draw_node(inner),
+            "u = 0": draw_node(inner) + c.d0 * step,
+            "beyond K1": draw_node(outside) + jitter,
+            "anywhere": np.array(data.draw(st.lists(st.floats(-0.2, 1.5), min_size=2, max_size=2))),
+        }
+        # the band from its inner edge outwards, near both ends and inside
+        for f in (frac, 0.05, 0.5, 0.95):
+            points[f"band {f}"] = edge + (c.d0 + f * (c.d1 - c.d0)) * step
+            assert 0.0 < u_of(points[f"band {f}"]) < 1.0
+        assert u_of(points["inner node"]) < 0.0 and u_of(points["u = 0"]) == 0.0
+        assert u_of(points["beyond K1"]) > 1.0
+
+        def reference(z):
+            return float(plateau(c.inner.distance(z), c.d0, c.d1))
+
+        for x in points.values():
+            rho = c.rho(x)
+            assert type(rho) is float and np.float64(rho).tobytes() == np.float64(reference(x)).tobytes()
+            assert_bit_equal(c.drho(x), fd_jacobian(reference, x, h=1e-6))
+
+
 def graded_homotopy(N):
     """A step over the unit square: K0 a 3x3 block of an 8x8-cell grid, K1
     its two-cell dilation, so the cutoff is not trivial."""
@@ -112,7 +186,8 @@ class TestSectionF:
 
 
 def assert_bit_equal(got, want):
-    """Nested dicts, lists and tuples with np.array_equal leaves."""
+    """Nested dicts, lists and tuples whose leaves have the same dtype, shape
+    and bytes, so that a flip between -0.0 and +0.0 shows."""
     if isinstance(want, dict):
         assert got.keys() == want.keys()
         for k in want:
@@ -124,7 +199,8 @@ def assert_bit_equal(got, want):
     elif want is None:
         assert got is None
     else:
-        assert np.array_equal(got, want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class PerTimeOracle:
@@ -169,6 +245,37 @@ class TestEvalTimes:
             assert_bit_equal(column, [hom.eval(t, x) for t in ts])
             assert_bit_equal(column, [eval_reference(hom, t, x) for t in ts])
             assert_bit_equal(two.eval_times(ts, x), [two.eval(t, x) for t in ts])
+
+    def test_whole_phase_column_adds_zeros(self, monkeypatch):
+        # pi = e1 and N = 8 (16 in the second stage), so x1 in Z/8 is a whole
+        # phase; at (0, -0.0) f is (0.0, -0.0) and rho is 0, so y keeps or
+        # flips the sign of that zero by the time's sign, as eval does
+        rng = np.random.default_rng(4)
+        ts = [-0.2, -0.0, 0.0, 1.0, 1.3] + list(rng.uniform(0.0, 1.0, 4))
+        hom = graded_homotopy(8.0)
+        two = two_stage()
+        whole = [np.array([0.0, -0.0]), np.array([0.5, 0.5])]
+        whole += [np.array([k / 8.0, y]) for k, y in zip(rng.integers(0, 9, 4), rng.uniform(0.0, 1.0, 4))]
+        off = [np.array([0.3, 0.5]), np.array([0.5 + 1e-9, 0.4])]
+        want = {id(x): [eval_reference(hom, t, x) for t in ts] for x in whole + off}
+        calls = {"corrugation": 0, "remainder": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(hprinciple, "corrugation", counted("corrugation", corrugation))
+        monkeypatch.setattr(hprinciple, "remainder", counted("remainder", remainder))
+        for x in whole:
+            assert_bit_equal(hom.eval_times(ts, x), want[id(x)])
+            assert_bit_equal(two.eval_times(ts, x), [two.eval(t, x) for t in ts])
+        assert calls == {"corrugation": 0, "remainder": 0}
+        for x in off:
+            assert_bit_equal(hom.eval_times(ts, x), want[id(x)])
+        assert calls == {"corrugation": len(ts) * len(off), "remainder": len(ts) * len(off)}
 
 
 class BasedCircleFamily(GradedCircleFamily):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ample import jets
 from ample.jets import (
@@ -117,6 +120,33 @@ class TestSlice:
             assert np.array_equal(jet.phi, update(p, sigma.phi, w))
             # oracle: the rank-one formula written out
             assert np.array_equal(jet.phi, sigma.phi + np.outer(w - sigma.phi @ p.v, p.pi))
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from(["list", "tuple", "int", "column"]))
+    @settings(max_examples=80, deadline=None)
+    def test_member_sees_checked_jet_for_any_w(self, data, dim_e, dim_f, form):
+        # the jet R.member gets is built without OneJet's checks, so it must
+        # already have their form: float64 1-D x and y equal to sigma's, and
+        # phi of shape (|y|, |x|) with the bytes of update, whatever form w has
+        def floats(shape):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
+
+        pi = floats(dim_e)
+        assume(pi @ pi > 0.1)
+        p = DualPair(pi=pi, v=pi / (pi @ pi))
+        sigma = OneJet(x=floats(dim_e), y=floats(dim_f), phi=floats((dim_f, dim_e)))
+        seen = []
+        sl = relation_slice(Relation(member=lambda jet: seen.append(jet) or len(seen) % 2 == 1), sigma, p)
+        w = floats(dim_f)
+        if form == "int":
+            w = data.draw(arrays(np.int64, dim_f, elements=st.integers(-5, 5)))
+        forms = {"list": w.tolist(), "tuple": tuple(w.tolist()), "int": w, "column": w.reshape(-1, 1)}
+        assert sl(forms[form]) and not sl(forms[form])
+        want = update(p, sigma.phi, w)
+        for jet in seen:
+            for got, own in ((jet.x, sigma.x), (jet.y, sigma.y)):
+                assert got.dtype == np.float64 and got.ndim == 1 and got.tobytes() == own.tobytes()
+            assert jet.phi.dtype == np.float64 and jet.phi.shape == (dim_f, dim_e)
+            assert jet.phi.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):
         R = Relation(member=lambda jet: True)
