@@ -169,10 +169,10 @@ class Cutoff:
             self.d1 = max(gap - 0.55 * h, 0.5 * h)
 
     def rho(self, x):
-        """plateau(inner.distance(x), d0, d1) as a float, bit for bit; only
-        the band d0 < d < d1 runs the smoothstep, since plateau is exactly 1.0
-        for u = (d - d0) / (d1 - d0) <= 0 (smoothstep gives 0 / b) and 0.0
-        for u >= 1 (a / a)."""
+        """plateau(inner.distance(x), d0, d1) as a float, bit for bit.  With
+        u = (d - d0) / (d1 - d0), plateau = 1 - smoothstep(u) is exactly 1.0
+        for u <= 0, where smoothstep is 0 / b, and exactly 0.0 for u >= 1,
+        where it is a / a; only the band 0 < u < 1 runs smoothstep."""
         if self.trivial:
             return self.constant
         u = (self.inner.distance(x) - self.d0) / (self.d1 - self.d0)
